@@ -2,7 +2,7 @@
 
 from .poly import Poly
 from .rationals import DomainError, Rational, binomial, factorial, gen_binomial, parse_rational, rational_str
-from .series import Series, binomial_power, exp_series, log1p_series, series_inverse
+from .series import Series, binomial_power, log1p_series
 from .stirling import (
     StirlingKind,
     StirlingTable,
@@ -36,7 +36,7 @@ from .identities import GridConfig, IdentityReport, REGISTRY, run_all, run_ident
 __all__ = [
     "DomainError", "Rational", "binomial", "factorial", "gen_binomial",
     "parse_rational", "rational_str",
-    "Poly", "Series", "binomial_power", "exp_series", "log1p_series", "series_inverse",
+    "Poly", "Series", "binomial_power", "log1p_series",
     "StirlingKind", "StirlingTable", "stirling2", "stirling1_unsigned",
     "stirling_transform", "inverse_stirling_transform",
     "ScaledRational", "scaled", "exponential_poly", "bell", "complementary_bell",

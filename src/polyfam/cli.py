@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -51,7 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--config", help="flat key=value file mirroring the flags")
 
     t = sub.add_parser("table", help="emit n -> value rows for a family")
@@ -64,6 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run identity checks over a grid")
     common(v)
+    v.add_argument("--jobs", type=int, default=1)
     v.add_argument("--all", action="store_true", help="run every registered identity")
     v.add_argument("--id", action="append", default=None, help="identity id (repeatable)")
     v.add_argument("--list", action="store_true", help="list identity ids and exit")
@@ -84,9 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("series", help="print a generating series")
     common(s)
-    s.add_argument("--gf", required=True,
-                   help="one of: exp-bell, geometric, general-geometric, apostol-euler, "
-                        "apostol-bernoulli, bernoulli-higher, bernoulli-second-kind")
+    s.add_argument("--gf", required=True, help=f"one of: {', '.join(fam.SERIES)}")
     s.add_argument("--x", type=str, default=None)
     s.add_argument("--alpha", type=str, default=None)
     s.add_argument("--l", type=int, default=None)
@@ -121,10 +120,25 @@ def _apply_config(argv: list[str]) -> list[str]:
             key, value = key.strip(), value.strip()
             if value.lower() in ("true", "yes", "on"):
                 injected.append(f"--{key}")
-            else:
+            elif value.lower() not in ("false", "no", "off"):
                 injected.extend([f"--{key}", value])
     # insert after the subcommand so explicit flags win over config values
     return argv[:2] + injected + argv[2:]
+
+
+# argparse takes a token such as -1/2 or -3,1/2 for an option, so a flag
+# followed by one gets it joined on as --flag=value
+_NEGATIVE_RATIONALS = re.compile(r"^-\d+(/\d+)?(,[+-]?\d+(/\d+)?)*$")
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and _NEGATIVE_RATIONALS.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -280,56 +294,17 @@ def cmd_verify(args) -> int:
     return 1 if summary.failed else 0
 
 
-_GF_IDS = (
-    "exp-bell", "geometric", "general-geometric", "apostol-euler",
-    "apostol-bernoulli", "bernoulli-higher", "bernoulli-second-kind",
-)
-
-
 def _build_series(args) -> tuple[Series, dict, str | None]:
-    order = args.order
-    if order < 0:
+    if args.order < 0:
         raise UsageError("--order must be >= 0")
     x = parse_rational(args.x) if args.x is not None else None
     alpha = parse_rational(args.alpha) if args.alpha is not None else None
     lam = parse_rational(args.lam) if args.lam is not None else None
-    gf = args.gf
-    prefactor = None
     try:
-        if gf == "exp-bell":
-            if x is None:
-                raise UsageError("exp-bell needs --x")
-            series = fam.gf_exp_bell(x, order)
-        elif gf == "geometric":
-            if x is None:
-                raise UsageError("geometric needs --x")
-            series = fam.gf_geometric(x, order)
-        elif gf == "general-geometric":
-            if x is None or alpha is None:
-                raise UsageError("general-geometric needs --x and --alpha")
-            series = fam.gf_general_geometric(x, alpha, order)
-        elif gf == "apostol-euler":
-            if alpha is None or lam is None:
-                raise UsageError("apostol-euler needs --alpha and --lambda")
-            if alpha.denominator == 1:
-                series = fam.gf_apostol_euler(int(alpha), lam, order)
-            else:
-                series = fam.gf_apostol_euler_mantissa(alpha, lam, order)
-                prefactor = str(fam.scaled(1, fam.euler_prefactor_base(lam), alpha))
-        elif gf == "apostol-bernoulli":
-            if args.l is None or lam is None:
-                raise UsageError("apostol-bernoulli needs --l and --lambda")
-            series = fam.gf_apostol_bernoulli(args.l, lam, order)
-        elif gf == "bernoulli-higher":
-            if args.l is None:
-                raise UsageError("bernoulli-higher needs --l")
-            series = fam.gf_bernoulli_higher(args.l, order)
-        elif gf == "bernoulli-second-kind":
-            series = fam.gf_bernoulli_second_kind(order)
-        else:
-            raise UsageError(f"unknown generating series id {gf!r}; choose from {', '.join(_GF_IDS)}")
+        series, prefactor = fam.series_value(args.gf, args.order, x=x, alpha=alpha, l=args.l, lam=lam)
     except DomainError as exc:
         raise UsageError(str(exc)) from None
+    prefactor = None if prefactor is None else str(prefactor)
     return series, _param_obj(x=x, alpha=alpha, l=args.l, lam=lam), prefactor
 
 
@@ -360,7 +335,7 @@ def cmd_series(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv if argv is None else ["polyfam"] + list(argv))
     try:
-        argv = _apply_config(argv)
+        argv = _join_negative_values(_apply_config(argv))
         try:
             args = build_parser().parse_args(argv[1:])
         except SystemExit as exc:  # argparse reports its own usage errors

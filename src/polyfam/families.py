@@ -18,11 +18,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import floor
+from typing import Callable
 
 from .poly import Poly
 from .rationals import DomainError, binomial, factorial, gen_binomial, rational_str
 from .series import Series, binomial_power, expm1_over_t
-from .stirling import stirling2
+from .stirling import _FIRST, _SECOND, stirling2
 
 Rat = Fraction
 
@@ -33,7 +34,8 @@ Rat = Fraction
 
 def scaled(mantissa: Rat | int, base: Rat | int, exponent: Rat | int):
     """Canonical mantissa*base^exponent; collapses to a plain Fraction when
-    the power is rational (integer exponent, base 1, or zero mantissa)."""
+    the power is rational (integer exponent, base 1, zero mantissa, or a
+    positive base whose numerator and denominator are exact powers)."""
     mantissa, base, exponent = Fraction(mantissa), Fraction(base), Fraction(exponent)
     if mantissa == 0:
         return Fraction(0)
@@ -48,7 +50,22 @@ def scaled(mantissa: Rat | int, base: Rat | int, exponent: Rat | int):
     mantissa *= base**whole
     if frac == 0:
         return mantissa
+    if base > 0:
+        num = _exact_root(base.numerator, frac.denominator)
+        den = _exact_root(base.denominator, frac.denominator)
+        if num is not None and den is not None:
+            return mantissa * Fraction(num, den) ** frac.numerator
     return ScaledRational(mantissa, base, frac)
+
+
+def _exact_root(n: int, k: int) -> int | None:
+    """The k-th root of n >= 0 when n is a perfect k-th power, else None."""
+    root = 1 << -(-n.bit_length() // k)  # 2^ceil(bits/k) >= n^(1/k)
+    while True:  # integer Newton step, decreasing until it reaches the floor
+        step = ((k - 1) * root + n // root ** (k - 1)) // k
+        if step >= root:
+            return root if root**k == n else None
+        root = step
 
 
 @dataclass(frozen=True)
@@ -181,11 +198,7 @@ def bernoulli_second_kind(n: int) -> Rat:
     """c_n = [t^n] of t/log(1+t)."""
     if n < 0:
         raise DomainError("bernoulli_second_kind needs n >= 0")
-    order = max(n, 1)
-    log_over_t = Series(
-        [Fraction((-1) ** k, k + 1) for k in range(order + 1)], order
-    )
-    return log_over_t.inverse().coeff(n)
+    return gf_bernoulli_second_kind(max(n, 1)).coeff(n)
 
 
 # ---------------------------------------------------------------------------
@@ -347,37 +360,52 @@ def gf_bernoulli_second_kind(order: int) -> Series:
 
 
 # ---------------------------------------------------------------------------
-# family registry for the CLI
+# family and generating-series tables for the CLI
 # ---------------------------------------------------------------------------
+
+def _check_needs(what: str, needs: tuple[str, ...], given: dict) -> None:
+    """Raise DomainError naming the flag of every needed parameter left None."""
+    missing = [p for p in needs if given[p] is None]
+    if missing:
+        raise DomainError(f"{what} needs --{' --'.join(missing)}")
+
 
 @dataclass(frozen=True)
 class FamilySpec:
     id: str
-    kind: str  # "number" | "poly" | "scaled" | "triangle"
     needs: tuple[str, ...]  # subset of ("alpha", "l", "lambda")
     describe: str
+    value: Callable  # (n, alpha, l, lam) -> Poly, Fraction, ScaledRational or triangle row
 
 
 FAMILIES: dict[str, FamilySpec] = {
     f.id: f
     for f in [
-        FamilySpec("exponential-poly", "poly", (), "Bell/Touchard polynomials"),
-        FamilySpec("bell", "number", (), "Bell numbers"),
-        FamilySpec("complementary-bell", "number", (), "alternating-sign Bell numbers"),
-        FamilySpec("geometric-poly", "poly", (), "geometric (Fubini) polynomials"),
-        FamilySpec("fubini", "number", (), "ordered Bell numbers"),
-        FamilySpec("general-geometric", "poly", ("alpha",), "geometric polynomials of rational order"),
-        FamilySpec("euler-classical", "number", (), "Euler polynomial values at 0"),
-        FamilySpec("euler-higher", "number", ("alpha",), "higher-order Euler numbers"),
-        FamilySpec("apostol-euler", "scaled", ("lambda",), "Apostol-Euler numbers"),
-        FamilySpec("apostol-euler-higher", "scaled", ("alpha", "lambda"), "higher-order Apostol-Euler numbers"),
-        FamilySpec("bernoulli-classical", "number", (), "Bernoulli numbers"),
-        FamilySpec("bernoulli-higher", "number", ("l",), "higher-order Bernoulli numbers"),
-        FamilySpec("apostol-bernoulli", "number", ("lambda",), "Apostol-Bernoulli numbers"),
-        FamilySpec("apostol-bernoulli-higher", "number", ("l", "lambda"), "higher-order Apostol-Bernoulli numbers"),
-        FamilySpec("bernoulli-second-kind", "number", (), "Bernoulli numbers of the second kind"),
-        FamilySpec("stirling2", "triangle", (), "Stirling set-partition triangle"),
-        FamilySpec("stirling1-unsigned", "triangle", (), "unsigned Stirling cycle triangle"),
+        FamilySpec("exponential-poly", (), "Bell/Touchard polynomials", lambda n, a, l, lam: exponential_poly(n)),
+        FamilySpec("bell", (), "Bell numbers", lambda n, a, l, lam: bell(n)),
+        FamilySpec("complementary-bell", (), "alternating-sign Bell numbers",
+                   lambda n, a, l, lam: complementary_bell(n)),
+        FamilySpec("geometric-poly", (), "geometric (Fubini) polynomials", lambda n, a, l, lam: geometric_poly(n)),
+        FamilySpec("fubini", (), "ordered Bell numbers", lambda n, a, l, lam: fubini(n)),
+        FamilySpec("general-geometric", ("alpha",), "geometric polynomials of rational order",
+                   lambda n, a, l, lam: general_geometric(n, a)),
+        FamilySpec("euler-classical", (), "Euler polynomial values at 0", lambda n, a, l, lam: euler_classical(n)),
+        FamilySpec("euler-higher", ("alpha",), "higher-order Euler numbers", lambda n, a, l, lam: euler_higher(n, a)),
+        FamilySpec("apostol-euler", ("lambda",), "Apostol-Euler numbers",
+                   lambda n, a, l, lam: apostol_euler_higher(n, 1, lam)),
+        FamilySpec("apostol-euler-higher", ("alpha", "lambda"), "higher-order Apostol-Euler numbers",
+                   lambda n, a, l, lam: apostol_euler_higher(n, a, lam)),
+        FamilySpec("bernoulli-classical", (), "Bernoulli numbers", lambda n, a, l, lam: bernoulli_classical(n)),
+        FamilySpec("bernoulli-higher", ("l",), "higher-order Bernoulli numbers",
+                   lambda n, a, l, lam: bernoulli_higher(n, l)),
+        FamilySpec("apostol-bernoulli", ("lambda",), "Apostol-Bernoulli numbers",
+                   lambda n, a, l, lam: apostol_bernoulli_higher(n, 1, lam)),
+        FamilySpec("apostol-bernoulli-higher", ("l", "lambda"), "higher-order Apostol-Bernoulli numbers",
+                   lambda n, a, l, lam: apostol_bernoulli_higher(n, l, lam)),
+        FamilySpec("bernoulli-second-kind", (), "Bernoulli numbers of the second kind",
+                   lambda n, a, l, lam: bernoulli_second_kind(n)),
+        FamilySpec("stirling2", (), "Stirling set-partition triangle", lambda n, a, l, lam: _SECOND.row(n)),
+        FamilySpec("stirling1-unsigned", (), "unsigned Stirling cycle triangle", lambda n, a, l, lam: _FIRST.row(n)),
     ]
 }
 
@@ -388,45 +416,49 @@ def family_value(fid: str, n: int, *, alpha: Rat | None = None, l: int | None = 
     spec = FAMILIES.get(fid)
     if spec is None:
         raise DomainError(f"unknown family id: {fid.strip() or '(empty)'}")
-    missing = [p for p in spec.needs if {"alpha": alpha, "l": l, "lambda": lam}[p] is None]
-    if missing:
-        raise DomainError(f"family {fid} needs --{' --'.join(missing)}")
-    if fid == "exponential-poly":
-        return exponential_poly(n)
-    if fid == "bell":
-        return bell(n)
-    if fid == "complementary-bell":
-        return complementary_bell(n)
-    if fid == "geometric-poly":
-        return geometric_poly(n)
-    if fid == "fubini":
-        return fubini(n)
-    if fid == "general-geometric":
-        return general_geometric(n, Fraction(alpha))
-    if fid == "euler-classical":
-        return euler_classical(n)
-    if fid == "euler-higher":
-        return euler_higher(n, Fraction(alpha))
-    if fid == "apostol-euler":
-        return apostol_euler_higher(n, Fraction(1), Fraction(lam))
-    if fid == "apostol-euler-higher":
-        return apostol_euler_higher(n, Fraction(alpha), Fraction(lam))
-    if fid == "bernoulli-classical":
-        return bernoulli_classical(n)
-    if fid == "bernoulli-higher":
-        return bernoulli_higher(n, int(l))
-    if fid == "apostol-bernoulli":
-        return apostol_bernoulli_higher(n, 1, Fraction(lam))
-    if fid == "apostol-bernoulli-higher":
-        return apostol_bernoulli_higher(n, int(l), Fraction(lam))
-    if fid == "bernoulli-second-kind":
-        return bernoulli_second_kind(n)
-    if fid == "stirling2":
-        from .stirling import _SECOND
+    _check_needs(f"family {fid}", spec.needs, {"alpha": alpha, "l": l, "lambda": lam})
+    return spec.value(n, alpha, l, lam)
 
-        return _SECOND.row(n)
-    if fid == "stirling1-unsigned":
-        from .stirling import _FIRST
 
-        return _FIRST.row(n)
-    raise AssertionError(f"unhandled family {fid}")
+def _apostol_euler_series(alpha: Rat, lam: Rat, order: int):
+    """The plain series for integer alpha; otherwise the mantissa series and
+    the prefactor (2/(lam+1))^alpha it leaves out."""
+    if alpha.denominator == 1:
+        return gf_apostol_euler(int(alpha), lam, order), None
+    return gf_apostol_euler_mantissa(alpha, lam, order), scaled(1, euler_prefactor_base(lam), alpha)
+
+
+@dataclass(frozen=True)
+class SeriesSpec:
+    id: str
+    needs: tuple[str, ...]  # subset of ("x", "alpha", "l", "lambda")
+    build: Callable  # (x, alpha, l, lam, order) -> (Series, prefactor or None)
+
+
+SERIES: dict[str, SeriesSpec] = {
+    s.id: s
+    for s in [
+        SeriesSpec("exp-bell", ("x",), lambda x, a, l, lam, order: (gf_exp_bell(x, order), None)),
+        SeriesSpec("geometric", ("x",), lambda x, a, l, lam, order: (gf_geometric(x, order), None)),
+        SeriesSpec("general-geometric", ("x", "alpha"),
+                   lambda x, a, l, lam, order: (gf_general_geometric(x, a, order), None)),
+        SeriesSpec("apostol-euler", ("alpha", "lambda"),
+                   lambda x, a, l, lam, order: _apostol_euler_series(a, lam, order)),
+        SeriesSpec("apostol-bernoulli", ("l", "lambda"),
+                   lambda x, a, l, lam, order: (gf_apostol_bernoulli(l, lam, order), None)),
+        SeriesSpec("bernoulli-higher", ("l",), lambda x, a, l, lam, order: (gf_bernoulli_higher(l, order), None)),
+        SeriesSpec("bernoulli-second-kind", (),
+                   lambda x, a, l, lam, order: (gf_bernoulli_second_kind(order), None)),
+    ]
+}
+
+
+def series_value(gid: str, order: int, *, x: Rat | None = None, alpha: Rat | None = None,
+                 l: int | None = None, lam: Rat | None = None):
+    """Generating series `gid` truncated at `order`, and its prefactor (a
+    ScaledRational or Fraction held outside the series, or None)."""
+    spec = SERIES.get(gid)
+    if spec is None:
+        raise DomainError(f"unknown generating series id {gid!r}; choose from {', '.join(SERIES)}")
+    _check_needs(f"series {gid}", spec.needs, {"x": x, "alpha": alpha, "l": l, "lambda": lam})
+    return spec.build(x, alpha, l, lam, order)

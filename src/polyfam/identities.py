@@ -17,7 +17,8 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterator
+from itertools import product
+from typing import Callable
 
 from . import families as fam
 from .poly import Poly, poly_from_terms
@@ -72,6 +73,30 @@ class GridConfig:
             for m in range(self.mmax + 1)
             if n + m <= self.nm_sum
         ]
+
+
+# Grid axes: each slot maps a GridConfig to the parameter values one axis of
+# an identity's grid takes.  "gm" is the shift m bounded by gf_mmax, and
+# "int_alpha" the integer orders only; both report under the usual names.
+SLOTS: dict[str, Callable[[GridConfig], list[dict]]] = {
+    "nm": lambda g: [{"n": n, "m": m} for n, m in g.nm_pairs()],
+    "n": lambda g: [{"n": n} for n in range(g.nmax + 1)],
+    "m": lambda g: [{"m": m} for m in range(g.mmax + 1)],
+    "gm": lambda g: [{"m": m} for m in range(g.gf_mmax + 1)],
+    "l": lambda g: [{"l": l} for l in g.ls],
+    "alpha": lambda g: [{"alpha": a} for a in g.alphas()],
+    "int_alpha": lambda g: [{"alpha": a} for a in g.int_alphas],
+    "lambda": lambda g: [{"lambda": lam} for lam in g.lambdas],
+    "x": lambda g: [{"x": x} for x in g.xs],
+}
+
+
+def grid_points(slots: tuple[str, ...], grid: GridConfig) -> list[dict]:
+    """The product of the named axes, one parameter dict per point."""
+    return [
+        {k: v for part in parts for k, v in part.items()}
+        for parts in product(*(SLOTS[slot](grid) for slot in slots))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +154,7 @@ def render_value(v) -> str:
 class Identity:
     id: str
     description: str
-    slots: tuple[str, ...]
-    points: Callable[[GridConfig], Iterator[dict]]
+    slots: tuple[str, ...]  # keys of SLOTS
     check: Callable[[dict, GridConfig], list[Pair]]
     lambda_degree_bound: Callable[[GridConfig], int] | None = None
 
@@ -197,11 +221,6 @@ def certification_lambdas(bound: int) -> tuple[Fraction, ...]:
 # checkers
 # ---------------------------------------------------------------------------
 
-def _pts_nm(grid: GridConfig) -> Iterator[dict]:
-    for n, m in grid.nm_pairs():
-        yield {"n": n, "m": m}
-
-
 def _chk_spivey(pt, grid) -> list[Pair]:
     n, m = pt["n"], pt["m"]
     lhs = fam.exponential_poly(n + m)
@@ -215,12 +234,6 @@ def _chk_spivey(pt, grid) -> list[Pair]:
     return [("", lhs, rhs)]
 
 
-def _pts_gf_x(grid: GridConfig) -> Iterator[dict]:
-    for m in range(grid.gf_mmax + 1):
-        for x in grid.xs:
-            yield {"m": m, "x": x}
-
-
 def _chk_gf_phi_shift(pt, grid) -> list[Pair]:
     m, x = pt["m"], F(pt["x"])
     order = grid.order
@@ -229,23 +242,11 @@ def _chk_gf_phi_shift(pt, grid) -> list[Pair]:
     return [("", lhs, rhs)]
 
 
-def _pts_x(grid: GridConfig) -> Iterator[dict]:
-    for x in grid.xs:
-        yield {"x": x}
-
-
 def _chk_gf_phi_base(pt, grid) -> list[Pair]:
     x = F(pt["x"])
     order = grid.order
     lhs = _euler_series_lhs(lambda n: fam.exponential_poly(n)(x), order)
     return [("", lhs, fam.gf_exp_bell(x, order))]
-
-
-def _pts_gf_alpha_x(grid: GridConfig) -> Iterator[dict]:
-    for m in range(grid.gf_mmax + 1):
-        for alpha in grid.alphas():
-            for x in grid.xs:
-                yield {"m": m, "alpha": alpha, "x": x}
 
 
 def _chk_gf_w_shift(pt, grid) -> list[Pair]:
@@ -258,24 +259,11 @@ def _chk_gf_w_shift(pt, grid) -> list[Pair]:
     return [("", lhs, rhs)]
 
 
-def _pts_alpha_x(grid: GridConfig) -> Iterator[dict]:
-    for alpha in grid.alphas():
-        for x in grid.xs:
-            yield {"alpha": alpha, "x": x}
-
-
 def _chk_gf_w_base(pt, grid) -> list[Pair]:
     alpha, x = F(pt["alpha"]), F(pt["x"])
     order = grid.order
     lhs = _euler_series_lhs(lambda n: fam.general_geometric(n, alpha)(x), order)
     return [("", lhs, fam.gf_general_geometric(x, alpha, order))]
-
-
-def _pts_gf_euler(grid: GridConfig) -> Iterator[dict]:
-    for m in range(grid.gf_mmax + 1):
-        for alpha in grid.alphas():
-            for lam in grid.lambdas:
-                yield {"m": m, "alpha": alpha, "lambda": lam}
 
 
 def _chk_gf_apostol_euler_shift(pt, grid) -> list[Pair]:
@@ -288,13 +276,6 @@ def _chk_gf_apostol_euler_shift(pt, grid) -> list[Pair]:
     rhs = pref * fam.general_geometric(m, alpha).eval_series(argument)
     lhs = _euler_series_lhs(lambda n: fam.apostol_euler_mantissa(n + m, alpha, lam), order)
     return [("", lhs, rhs)]
-
-
-def _pts_gf_bern(grid: GridConfig) -> Iterator[dict]:
-    for m in range(grid.gf_mmax + 1):
-        for l in grid.ls:
-            for lam in grid.lambdas:
-                yield {"m": m, "l": l, "lambda": lam}
 
 
 def _chk_gf_apostol_bernoulli_shift(pt, grid) -> list[Pair]:
@@ -331,12 +312,6 @@ def _chk_gf_apostol_bernoulli_shift(pt, grid) -> list[Pair]:
     )
     rhs = Series([r_series.coeff(n + shift) for n in range(reduced + 1)], reduced)
     return [("pole-cleared", lhs, rhs)]
-
-
-def _pts_nm_alpha(grid: GridConfig) -> Iterator[dict]:
-    for n, m in grid.nm_pairs():
-        for alpha in grid.alphas():
-            yield {"n": n, "m": m, "alpha": alpha}
 
 
 def _chk_w_general_recurrence(pt, grid) -> list[Pair]:
@@ -385,13 +360,6 @@ def _chk_fubini_explicit(pt, grid) -> list[Pair]:
     return [("", lhs, rhs)]
 
 
-def _pts_nm_alpha_lam(grid: GridConfig) -> Iterator[dict]:
-    for n, m in grid.nm_pairs():
-        for alpha in grid.alphas():
-            for lam in grid.lambdas:
-                yield {"n": n, "m": m, "alpha": alpha, "lambda": lam}
-
-
 def _chk_apostol_euler_recurrence(pt, grid) -> list[Pair]:
     n, m, alpha, lam = pt["n"], pt["m"], F(pt["alpha"]), F(pt["lambda"])
     _need_euler_domain(lam)
@@ -408,13 +376,6 @@ def _chk_apostol_euler_recurrence(pt, grid) -> list[Pair]:
     return [("", lhs, rhs)]
 
 
-def _pts_m_alpha_lam(grid: GridConfig) -> Iterator[dict]:
-    for m in range(grid.mmax + 1):
-        for alpha in grid.alphas():
-            for lam in grid.lambdas:
-                yield {"m": m, "alpha": alpha, "lambda": lam}
-
-
 def _chk_apostol_euler_explicit(pt, grid) -> list[Pair]:
     m, alpha, lam = pt["m"], F(pt["alpha"]), F(pt["lambda"])
     _need_euler_domain(lam)
@@ -427,13 +388,6 @@ def _chk_apostol_euler_explicit(pt, grid) -> list[Pair]:
         plain = fam.euler_prefactor_base(lam) ** alpha * lhs
         pairs.append(("plain-series", plain, fam.gf_apostol_euler(int(alpha), lam, order).egf_coeff(m)))
     return pairs
-
-
-def _pts_nm_l_lam(grid: GridConfig) -> Iterator[dict]:
-    for n, m in grid.nm_pairs():
-        for l in grid.ls:
-            for lam in grid.lambdas:
-                yield {"n": n, "m": m, "l": l, "lambda": lam}
 
 
 def _chk_apostol_bernoulli_recurrence(pt, grid) -> list[Pair]:
@@ -471,12 +425,6 @@ def _chk_apostol_bernoulli_recurrence(pt, grid) -> list[Pair]:
     return [("classical-limit", lhs, rhs)]
 
 
-def _pts_m_l(grid: GridConfig) -> Iterator[dict]:
-    for m in range(grid.mmax + 1):
-        for l in grid.ls:
-            yield {"m": m, "l": l}
-
-
 def _chk_bernoulli_higher_recurrence(pt, grid) -> list[Pair]:
     m, l = pt["m"], pt["l"]
     lhs1 = fam.bernoulli_higher(m + l, l)
@@ -496,13 +444,6 @@ def _chk_bernoulli_higher_recurrence(pt, grid) -> list[Pair]:
     return [("diagonal-sum", lhs1, rhs1), ("inverse-transform", lhs2, rhs2)]
 
 
-def _pts_m_l_lam(grid: GridConfig) -> Iterator[dict]:
-    for m in range(grid.mmax + 1):
-        for l in grid.ls:
-            for lam in grid.lambdas:
-                yield {"m": m, "l": l, "lambda": lam}
-
-
 def _chk_apostol_bernoulli_diag_recurrence(pt, grid) -> list[Pair]:
     m, l, lam = pt["m"], pt["l"], F(pt["lambda"])
     _need_apostol_bernoulli_domain(lam)
@@ -514,13 +455,6 @@ def _chk_apostol_bernoulli_diag_recurrence(pt, grid) -> list[Pair]:
             rhs += s * (-lam) ** k / (l + k) * fam.apostol_bernoulli_higher(l + k, l + k, lam)
     rhs *= l * binomial(m + l, l)
     return [("", lhs, rhs)]
-
-
-def _pts_n_l_lam(grid: GridConfig) -> Iterator[dict]:
-    for n in range(grid.nmax + 1):
-        for l in grid.ls:
-            for lam in grid.lambdas:
-                yield {"n": n, "l": l, "lambda": lam}
 
 
 def _chk_apostol_bernoulli_explicit(pt, grid) -> list[Pair]:
@@ -537,12 +471,6 @@ def _chk_apostol_bernoulli_explicit(pt, grid) -> list[Pair]:
     return pairs
 
 
-def _pts_n_lam(grid: GridConfig) -> Iterator[dict]:
-    for n in range(grid.nmax + 1):
-        for lam in grid.lambdas:
-            yield {"n": n, "lambda": lam}
-
-
 def _chk_apostol_bernoulli_classical(pt, grid) -> list[Pair]:
     n, lam = pt["n"], F(pt["lambda"])
     _need_apostol_bernoulli_domain(lam)
@@ -555,14 +483,6 @@ def _chk_apostol_bernoulli_classical(pt, grid) -> list[Pair]:
         (stirling2(n - 1, k) * factorial(k) * ratio**k for k in range(n)), F(0)
     )
     return [("geometric-eval", value, geo), ("stirling-sum", value, explicit)]
-
-
-def _pts_connections(grid: GridConfig) -> Iterator[dict]:
-    for n in range(grid.nmax + 1):
-        for alpha in grid.alphas():
-            for l in grid.ls:
-                for lam in grid.lambdas:
-                    yield {"n": n, "alpha": alpha, "l": l, "lambda": lam}
 
 
 def _chk_w_connections(pt, grid) -> list[Pair]:
@@ -586,14 +506,6 @@ def _chk_w_connections(pt, grid) -> list[Pair]:
     if not pairs:
         raise SkipDomain("no connection defined at this parameter point")
     return pairs
-
-
-def _pts_full(grid: GridConfig) -> Iterator[dict]:
-    for n, m in grid.nm_pairs():
-        for l in grid.ls:
-            for alpha in grid.alphas():
-                for lam in grid.lambdas:
-                    yield {"n": n, "m": m, "l": l, "alpha": alpha, "lambda": lam}
 
 
 def _chk_poly_shift_prop(pt, grid) -> list[Pair]:
@@ -705,14 +617,6 @@ def _chk_finite_sums(pt, grid) -> list[Pair]:
     return pairs
 
 
-def _pts_finite_sums(grid: GridConfig) -> Iterator[dict]:
-    for m in range(grid.mmax + 1):
-        for l in grid.ls:
-            for alpha in grid.alphas():
-                for lam in grid.lambdas:
-                    yield {"m": m, "l": l, "alpha": alpha, "lambda": lam}
-
-
 def _chk_diag_bernoulli_values(pt, grid) -> list[Pair]:
     m, l = pt["m"], pt["l"]
     n = m + l
@@ -738,14 +642,6 @@ def _chk_diag_bernoulli_values(pt, grid) -> list[Pair]:
     return pairs
 
 
-def _pts_aux_euler(grid: GridConfig) -> Iterator[dict]:
-    for n in range(grid.nmax + 1):
-        for alpha in grid.alphas():
-            for lam in grid.lambdas:
-                for x in grid.xs:
-                    yield {"n": n, "alpha": alpha, "lambda": lam, "x": x}
-
-
 def _chk_aux_wang(pt, grid) -> list[Pair]:
     n, alpha, lam, x = pt["n"], F(pt["alpha"]), F(pt["lambda"]), F(pt["x"])
     _need_euler_domain(lam)
@@ -753,14 +649,6 @@ def _chk_aux_wang(pt, grid) -> list[Pair]:
     lhs = alpha * lam / 2 * b * fam.apostol_euler_poly_mantissa(n, alpha + 1, x + 1, lam)
     rhs = x * fam.apostol_euler_poly_mantissa(n, alpha, x, lam) - fam.apostol_euler_poly_mantissa(n + 1, alpha, x, lam)
     return [("", lhs, rhs)]
-
-
-def _pts_aux_bernoulli(grid: GridConfig) -> Iterator[dict]:
-    for n in range(grid.nmax + 1):
-        for alpha in grid.int_alphas:
-            for lam in grid.lambdas:
-                for x in grid.xs:
-                    yield {"n": n, "alpha": alpha, "lambda": lam, "x": x}
 
 
 def _chk_aux_srivastava_luo(pt, grid) -> list[Pair]:
@@ -796,135 +684,62 @@ def _chk_aux_euler_reflection(pt, grid) -> list[Pair]:
 # registry
 # ---------------------------------------------------------------------------
 
-_register(Identity(
-    "spivey",
-    "index-shift convolution for Bell polynomials, symbolic in x",
-    ("n", "m"), _pts_nm, _chk_spivey,
-))
-_register(Identity(
-    "gf-phi-shift",
-    "shifted Bell-polynomial series equals the composed exponential series",
-    ("m", "x"), _pts_gf_x, _chk_gf_phi_shift,
-))
-_register(Identity(
-    "gf-phi-base",
-    "Bell-polynomial series in exponential form",
-    ("x",), _pts_x, _chk_gf_phi_base,
-))
-_register(Identity(
-    "gf-w-shift",
-    "shifted general geometric series equals the substituted binomial-power series",
-    ("m", "alpha", "x"), _pts_gf_alpha_x, _chk_gf_w_shift,
-))
-_register(Identity(
-    "gf-w-base",
-    "general geometric series as a binomial power",
-    ("alpha", "x"), _pts_alpha_x, _chk_gf_w_base,
-))
-_register(Identity(
-    "gf-apostol-euler-shift",
-    "shifted Euler-type number series via geometric polynomial substitution",
-    ("m", "alpha", "lambda"), _pts_gf_euler, _chk_gf_apostol_euler_shift, _deg_bound_gf,
-))
-_register(Identity(
-    "gf-apostol-bernoulli-shift",
-    "shifted Bernoulli-type number series via geometric polynomial substitution",
-    ("m", "l", "lambda"), _pts_gf_bern, _chk_gf_apostol_bernoulli_shift, _deg_bound_gf,
-))
-_register(Identity(
-    "w-general-recurrence",
-    "order-raising recurrence for general geometric polynomials, symbolic in x",
-    ("n", "m", "alpha"), _pts_nm_alpha, _chk_w_general_recurrence,
-))
-_register(Identity(
-    "w-explicit",
-    "closed triple sum for geometric polynomials, symbolic in x",
-    ("n", "m"), _pts_nm, _chk_w_explicit,
-))
-_register(Identity(
-    "fubini-explicit",
-    "closed triple sum for ordered Bell numbers",
-    ("n", "m"), _pts_nm, _chk_fubini_explicit,
-))
-_register(Identity(
-    "apostol-euler-recurrence",
-    "order-raising recurrence for Euler-type numbers",
-    ("n", "m", "alpha", "lambda"), _pts_nm_alpha_lam, _chk_apostol_euler_recurrence, _deg_bound_rec,
-))
-_register(Identity(
-    "apostol-euler-explicit",
-    "closed Stirling sum for Euler-type numbers against the series route",
-    ("m", "alpha", "lambda"), _pts_m_alpha_lam, _chk_apostol_euler_explicit, _deg_bound_rec,
-))
-_register(Identity(
-    "apostol-bernoulli-recurrence",
-    "order-raising recurrence for Bernoulli-type numbers",
-    ("n", "m", "l", "lambda"),
-    _pts_nm_l_lam,
-    _chk_apostol_bernoulli_recurrence, _deg_bound_rec,
-))
-_register(Identity(
-    "bernoulli-higher-recurrence",
-    "diagonal recurrences for higher-order Bernoulli numbers and their inverse transform",
-    ("m", "l"), _pts_m_l, _chk_bernoulli_higher_recurrence,
-))
-_register(Identity(
-    "apostol-bernoulli-diag-recurrence",
-    "diagonal-order recurrence for Bernoulli-type numbers",
-    ("m", "l", "lambda"),
-    _pts_m_l_lam,
-    _chk_apostol_bernoulli_diag_recurrence, _deg_bound_rec,
-))
-_register(Identity(
-    "apostol-bernoulli-explicit",
-    "closed Stirling sum for Bernoulli-type numbers against the series route",
-    ("n", "l", "lambda"), _pts_n_l_lam, _chk_apostol_bernoulli_explicit, _deg_bound_rec,
-))
-_register(Identity(
-    "apostol-bernoulli-classical",
-    "first-order Bernoulli-type numbers through geometric polynomial values",
-    ("n", "lambda"), _pts_n_lam, _chk_apostol_bernoulli_classical, _deg_bound_rec,
-))
-_register(Identity(
-    "w-connections",
-    "geometric polynomial values at distinguished points give the Euler/Bernoulli-type families",
-    ("n", "alpha", "l", "lambda"), _pts_connections, _chk_w_connections, _deg_bound_rec,
-))
-_register(Identity(
-    "poly-shift-prop",
-    "shift of the second index into polynomial arguments, number form",
-    ("n", "m", "l", "alpha", "lambda"), _pts_full, _chk_poly_shift_prop, _deg_bound_rec,
-))
-_register(Identity(
-    "poly-shift-theorem",
-    "inverse-transform shift into polynomial arguments, with reflections",
-    ("n", "m", "l", "alpha", "lambda"), _pts_full, _chk_poly_shift_theorem, _deg_bound_rec,
-))
-_register(Identity(
-    "finite-sums",
-    "closed forms for alternating first-kind Stirling sums over both families",
-    ("m", "l", "alpha", "lambda"), _pts_finite_sums, _chk_finite_sums, _deg_bound_rec,
-))
-_register(Identity(
-    "diag-bernoulli-values",
-    "diagonal higher-order Bernoulli polynomial values and the second-kind link",
-    ("m", "l"), _pts_m_l, _chk_diag_bernoulli_values,
-))
-_register(Identity(
-    "aux-wang",
-    "order-raising relation for Euler-type polynomials",
-    ("n", "alpha", "lambda", "x"), _pts_aux_euler, _chk_aux_wang, _deg_bound_rec,
-))
-_register(Identity(
-    "aux-srivastava-luo",
-    "order-raising relation for Bernoulli-type polynomials",
-    ("n", "alpha", "lambda", "x"), _pts_aux_bernoulli, _chk_aux_srivastava_luo, _deg_bound_rec,
-))
-_register(Identity(
-    "aux-euler-reflection",
-    "reflection of Euler-type polynomials across half the order",
-    ("n", "alpha", "lambda", "x"), _pts_aux_euler, _chk_aux_euler_reflection, _deg_bound_rec,
-))
+for _identity in [
+    Identity("spivey", "index-shift convolution for Bell polynomials, symbolic in x",
+             ("nm",), _chk_spivey),
+    Identity("gf-phi-shift", "shifted Bell-polynomial series equals the composed exponential series",
+             ("gm", "x"), _chk_gf_phi_shift),
+    Identity("gf-phi-base", "Bell-polynomial series in exponential form",
+             ("x",), _chk_gf_phi_base),
+    Identity("gf-w-shift", "shifted general geometric series equals the substituted binomial-power series",
+             ("gm", "alpha", "x"), _chk_gf_w_shift),
+    Identity("gf-w-base", "general geometric series as a binomial power",
+             ("alpha", "x"), _chk_gf_w_base),
+    Identity("gf-apostol-euler-shift", "shifted Euler-type number series via geometric polynomial substitution",
+             ("gm", "alpha", "lambda"), _chk_gf_apostol_euler_shift, _deg_bound_gf),
+    Identity("gf-apostol-bernoulli-shift",
+             "shifted Bernoulli-type number series via geometric polynomial substitution",
+             ("gm", "l", "lambda"), _chk_gf_apostol_bernoulli_shift, _deg_bound_gf),
+    Identity("w-general-recurrence", "order-raising recurrence for general geometric polynomials, symbolic in x",
+             ("nm", "alpha"), _chk_w_general_recurrence),
+    Identity("w-explicit", "closed triple sum for geometric polynomials, symbolic in x",
+             ("nm",), _chk_w_explicit),
+    Identity("fubini-explicit", "closed triple sum for ordered Bell numbers",
+             ("nm",), _chk_fubini_explicit),
+    Identity("apostol-euler-recurrence", "order-raising recurrence for Euler-type numbers",
+             ("nm", "alpha", "lambda"), _chk_apostol_euler_recurrence, _deg_bound_rec),
+    Identity("apostol-euler-explicit", "closed Stirling sum for Euler-type numbers against the series route",
+             ("m", "alpha", "lambda"), _chk_apostol_euler_explicit, _deg_bound_rec),
+    Identity("apostol-bernoulli-recurrence", "order-raising recurrence for Bernoulli-type numbers",
+             ("nm", "l", "lambda"), _chk_apostol_bernoulli_recurrence, _deg_bound_rec),
+    Identity("bernoulli-higher-recurrence",
+             "diagonal recurrences for higher-order Bernoulli numbers and their inverse transform",
+             ("m", "l"), _chk_bernoulli_higher_recurrence),
+    Identity("apostol-bernoulli-diag-recurrence", "diagonal-order recurrence for Bernoulli-type numbers",
+             ("m", "l", "lambda"), _chk_apostol_bernoulli_diag_recurrence, _deg_bound_rec),
+    Identity("apostol-bernoulli-explicit", "closed Stirling sum for Bernoulli-type numbers against the series route",
+             ("n", "l", "lambda"), _chk_apostol_bernoulli_explicit, _deg_bound_rec),
+    Identity("apostol-bernoulli-classical", "first-order Bernoulli-type numbers through geometric polynomial values",
+             ("n", "lambda"), _chk_apostol_bernoulli_classical, _deg_bound_rec),
+    Identity("w-connections",
+             "geometric polynomial values at distinguished points give the Euler/Bernoulli-type families",
+             ("n", "alpha", "l", "lambda"), _chk_w_connections, _deg_bound_rec),
+    Identity("poly-shift-prop", "shift of the second index into polynomial arguments, number form",
+             ("nm", "l", "alpha", "lambda"), _chk_poly_shift_prop, _deg_bound_rec),
+    Identity("poly-shift-theorem", "inverse-transform shift into polynomial arguments, with reflections",
+             ("nm", "l", "alpha", "lambda"), _chk_poly_shift_theorem, _deg_bound_rec),
+    Identity("finite-sums", "closed forms for alternating first-kind Stirling sums over both families",
+             ("m", "l", "alpha", "lambda"), _chk_finite_sums, _deg_bound_rec),
+    Identity("diag-bernoulli-values", "diagonal higher-order Bernoulli polynomial values and the second-kind link",
+             ("m", "l"), _chk_diag_bernoulli_values),
+    Identity("aux-wang", "order-raising relation for Euler-type polynomials",
+             ("n", "alpha", "lambda", "x"), _chk_aux_wang, _deg_bound_rec),
+    Identity("aux-srivastava-luo", "order-raising relation for Bernoulli-type polynomials",
+             ("n", "int_alpha", "lambda", "x"), _chk_aux_srivastava_luo, _deg_bound_rec),
+    Identity("aux-euler-reflection", "reflection of Euler-type polynomials across half the order",
+             ("n", "alpha", "lambda", "x"), _chk_aux_euler_reflection, _deg_bound_rec),
+]:
+    _register(_identity)
 
 
 # ---------------------------------------------------------------------------
@@ -981,7 +796,7 @@ def get_identity(identity_id: str) -> Identity:
 
 def identity_grid_for(identity: Identity, grid: GridConfig) -> tuple[GridConfig, int | None]:
     """Apply lambda-certification (when requested) to one identity's grid."""
-    if not grid.certify or identity.lambda_degree_bound is None or "lambda" not in identity.slots:
+    if not grid.certify or identity.lambda_degree_bound is None:
         return grid, None
     bound = identity.lambda_degree_bound(grid)
     return replace(grid, lambdas=certification_lambdas(bound)), bound
@@ -990,21 +805,14 @@ def identity_grid_for(identity: Identity, grid: GridConfig) -> tuple[GridConfig,
 def run_identity(identity_id: str, grid: GridConfig | None = None, *,
                  perturb: bool = False, timing: bool = False,
                  jobs: int = 1) -> list[IdentityReport]:
-    identity = get_identity(identity_id)
-    grid = grid or GridConfig()
-    pt_grid, _ = identity_grid_for(identity, grid)
-    tasks = [(identity, pt) for pt in identity.points(pt_grid)]
-    return _run_tasks(tasks, pt_grid, perturb, timing, jobs)
+    return run_all(grid, [identity_id], perturb=perturb, timing=timing, jobs=jobs)[1]
 
 
-def _run_tasks(tasks, grid, perturb, timing, jobs) -> list[IdentityReport]:
-    if jobs <= 1 or len(tasks) <= 1:
-        reports = [_evaluate_point(ident, pt, grid, perturb, timing) for ident, pt in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(lambda t: _evaluate_point(t[0], t[1], grid, perturb, timing), tasks))
-    reports.sort(key=IdentityReport.sort_key)
-    return reports
+def _run_points(identity, points, grid, perturb, timing, jobs) -> list[IdentityReport]:
+    if jobs <= 1 or len(points) <= 1:
+        return [_evaluate_point(identity, pt, grid, perturb, timing) for pt in points]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(lambda pt: _evaluate_point(identity, pt, grid, perturb, timing), points))
 
 
 def run_all(grid: GridConfig | None = None, ids: list[str] | None = None, *,
@@ -1019,8 +827,8 @@ def run_all(grid: GridConfig | None = None, ids: list[str] | None = None, *,
         pt_grid, bound = identity_grid_for(identity, grid)
         if bound is not None:
             bounds[identity_id] = bound
-        tasks = [(identity, pt) for pt in identity.points(pt_grid)]
-        reports.extend(_run_tasks(tasks, pt_grid, perturb, timing, jobs))
+        points = grid_points(identity.slots, pt_grid)
+        reports.extend(_run_points(identity, points, pt_grid, perturb, timing, jobs))
     reports.sort(key=IdentityReport.sort_key)
     summary = Summary(
         passed=sum(r.status == "pass" for r in reports),

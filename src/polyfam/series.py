@@ -183,14 +183,6 @@ class Series:
         return f"Series(order={self._order}, {self})"
 
 
-def exp_series(u: Series) -> Series:
-    return u.exp()
-
-
-def series_inverse(a: Series) -> Series:
-    return a.inverse()
-
-
 def binomial_power(a: Series, r: Fraction | int) -> Series:
     """(1 + u)^r for a = 1 + u with any rational exponent r.
 

@@ -1,8 +1,13 @@
 import json
+import re
+from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from polyfam.cli import main
+from polyfam import families as fam
+from polyfam.cli import _apply_config, _grid_from_args, build_parser, main
+from polyfam.identities import GridConfig
 
 
 def run_cli(capsys, *argv):
@@ -51,6 +56,27 @@ def test_table_scaled_family(capsys):
     assert out.strip() == "0,1*(1/2)^(1/2)"
 
 
+def test_table_rational_euler_values_print_as_rationals(capsys):
+    code, out, _ = run_cli(capsys, "table", "--family", "apostol-euler-higher",
+                           "--alpha=1/2", "--lambda=7", "--n", "3", "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == ["0,1/2", "1,-7/32", "2,35/512", "3,119/8192"]
+
+
+def test_table_negative_fraction_as_separate_argument(capsys):
+    code, joined, _ = run_cli(capsys, "table", "--family", "apostol-euler", "--lambda=-1/2", "--n", "3")
+    assert code == 0
+    code, out, _ = run_cli(capsys, "table", "--family", "apostol-euler", "--lambda", "-1/2", "--n", "3")
+    assert code == 0 and out == joined
+
+
+def test_table_and_series_take_no_jobs(capsys):
+    code, _, err = run_cli(capsys, "table", "--family", "bell", "--jobs", "2")
+    assert code == 2 and "--jobs" in err
+    code, _, err = run_cli(capsys, "series", "--gf", "exp-bell", "--x", "1", "--jobs", "2")
+    assert code == 2 and "--jobs" in err
+
+
 def test_series_exp_bell(capsys):
     code, out, _ = run_cli(capsys, "series", "--gf", "exp-bell", "--x", "1",
                            "--order", "6", "--format", "csv")
@@ -79,6 +105,32 @@ def test_series_singular_parameter(capsys):
     code, _, err = run_cli(capsys, "series", "--gf", "apostol-bernoulli", "--l", "1",
                            "--lambda", "1", "--order", "3")
     assert code == 2 and "bernoulli-higher" in err
+
+
+@pytest.mark.parametrize("gf", sorted(fam.SERIES))
+def test_series_missing_parameter_names_the_flag(capsys, gf):
+    values = {"x": "1", "alpha": "2", "l": "1", "lambda": "2"}
+    for need in fam.SERIES[gf].needs:
+        flags = [f"--{k}={v}" for k, v in values.items() if k != need]
+        code, out, err = run_cli(capsys, "series", "--gf", gf, "--order", "2", *flags)
+        assert code == 2 and out == ""
+        assert f"--{need}" in err
+
+
+def test_series_help_lists_the_series_table(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "400")  # keep the --gf help on one line
+    code, out, _ = run_cli(capsys, "series", "--help")
+    assert code == 0
+    assert re.search(r"one of: (.*)", out).group(1).strip().split(", ") == list(fam.SERIES)
+
+
+def test_series_negative_fraction_as_separate_argument(capsys):
+    code, out, _ = run_cli(capsys, "series", "--gf", "exp-bell", "--x", "-1/2", "--order", "3",
+                           "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["params"] == {"x": "-1/2"}
+    assert payload["egf"] == ["1", "-1/2", "-1/4", "1/8"]  # phi_n(-1/2)
 
 
 def test_series_fractional_alpha_prefactor(capsys):
@@ -153,6 +205,34 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify", "--config", str(cfg), "--mmax", "0")
     assert code == 0
     assert json.loads(out)["summary"]["pass"] == 3
+
+
+def test_config_file_false_leaves_the_flag_out(tmp_path, capsys):
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text("id = spivey\nnmax = 2\nmmax = 3\nformat = json\nperturb = false\ntiming = no\nall = off\n")
+    code, out, _ = run_cli(capsys, "verify", "--config", str(cfg))
+    assert code == 0
+    assert json.loads(out)["summary"]["pass"] == 12
+
+
+def test_certify_lambda_preset_grid():
+    preset = Path(__file__).resolve().parent.parent / "scripts" / "certify_lambda.cfg"
+    argv = _apply_config(["polyfam", "verify", "--config", str(preset)])
+    args = build_parser().parse_args(argv[1:])
+    assert args.all and args.format == "plain"
+    assert _grid_from_args(args) == GridConfig(
+        nmax=2, mmax=2, nm_sum=4, gf_mmax=2, ls=(1, 2), int_alphas=(1, 2),
+        frac_alphas=(F(1, 2),), xs=(F(1),), order=8, certify=True,
+    )
+
+
+def test_verify_negative_fractions_as_separate_argument(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--id", "apostol-bernoulli-classical", "--nmax", "2",
+                           "--lambda", "-3,1/2", "--format", "json")
+    assert code == 0
+    reports = json.loads(out)["reports"]
+    assert len(reports) == 6
+    assert {r["params"]["lambda"] for r in reports} == {"-3", "1/2"}
 
 
 def test_config_file_errors(tmp_path, capsys):

@@ -9,6 +9,7 @@ from polyfam import families as fam
 from polyfam.poly import Poly
 from polyfam.rationals import DomainError
 from polyfam.series import Series
+from polyfam.stirling import stirling1_unsigned, stirling2
 
 from .oracles import (
     bell_by_enumeration,
@@ -262,12 +263,36 @@ def test_scaled_arithmetic():
        st.fractions(min_value=-8, max_value=8, max_denominator=6))
 def test_scaled_integer_exponents_collapse(base, expo):
     value = fam.scaled(F(7), base, expo)
-    if expo.denominator == 1:
-        assert isinstance(value, F)
-        assert value == 7 * base**expo
+    a, b = expo.numerator, expo.denominator
+    if isinstance(value, F):
+        assert value**b == 7**b * base**a
+        assert value > 0 or base < 0
     else:
         assert isinstance(value, fam.ScaledRational)
         assert 0 < value.exponent < 1
+
+
+@pytest.mark.parametrize("base, expo, want", [
+    (F(1, 4), F(1, 2), F(7, 2)),
+    (F(4), F(1, 2), F(14)),
+    (F(8), F(1, 3), F(14)),
+    (F(8), F(2, 3), F(28)),
+    (F(4, 9), F(5, 2), 7 * F(32, 243)),
+])
+def test_scaled_collapses_exact_roots(base, expo, want):
+    value = fam.scaled(F(7), base, expo)
+    assert isinstance(value, F) and value == want
+
+
+def test_scaled_keeps_irrational_and_negative_bases():
+    assert fam.scaled(F(7), F(8), F(1, 2)) == fam.ScaledRational(F(7), F(8), F(1, 2))
+    assert fam.scaled(F(7), F(2, 9), F(1, 2)) == fam.ScaledRational(F(7), F(2, 9), F(1, 2))
+    assert fam.scaled(F(1), F(-4), F(1, 2)) == fam.ScaledRational(F(1), F(-4), F(1, 2))
+
+
+def test_rational_euler_values_are_fractions():
+    assert fam.scaled(1, F(1, 4), F(1, 2)) == F(1, 2)
+    assert fam.apostol_euler_higher(0, F(1, 2), F(-1, 2)) == 2
 
 
 # -- family registry ----------------------------------------------------------
@@ -283,6 +308,38 @@ def test_family_value_dispatch():
         fam.family_value("bernoulli-higher", 3)  # missing l
     with pytest.raises(DomainError):
         fam.family_value("apostol-bernoulli-higher", 3, l=2, lam=F(1))
+
+
+def test_every_family_dispatches():
+    alpha, l, lam = F(5, 2), 2, F(-3)
+    direct = {
+        "exponential-poly": lambda n: fam.exponential_poly(n),
+        "bell": lambda n: fam.exponential_poly(n)(1),
+        "complementary-bell": lambda n: fam.exponential_poly(n)(-1),
+        "geometric-poly": lambda n: fam.geometric_poly(n),
+        "fubini": lambda n: fam.geometric_poly(n)(1),
+        "general-geometric": lambda n: fam.general_geometric(n, alpha),
+        "euler-classical": lambda n: fam.geometric_poly(n)(F(-1, 2)),
+        "euler-higher": lambda n: fam.apostol_euler_mantissa(n, alpha, F(1)),
+        "apostol-euler": lambda n: fam.apostol_euler_mantissa(n, F(1), lam) * fam.euler_prefactor_base(lam),
+        "apostol-euler-higher": lambda n: fam.scaled(fam.apostol_euler_mantissa(n, alpha, lam),
+                                                     fam.euler_prefactor_base(lam), alpha),
+        "bernoulli-classical": lambda n: fam.bernoulli_higher(n, 1),
+        "bernoulli-higher": lambda n: fam.bernoulli_higher(n, l),
+        "apostol-bernoulli": lambda n: fam.apostol_bernoulli_higher(n, 1, lam),
+        "apostol-bernoulli-higher": lambda n: fam.apostol_bernoulli_higher(n, l, lam),
+        "bernoulli-second-kind": lambda n: fam.gf_bernoulli_second_kind(max(n, 1)).coeff(n),
+        "stirling2": lambda n: tuple(stirling2(n, k) for k in range(n + 1)),
+        "stirling1-unsigned": lambda n: tuple(stirling1_unsigned(n, k) for k in range(n + 1)),
+    }
+    assert set(direct) == set(fam.FAMILIES)
+    params = {"alpha": alpha, "l": l, "lam": lam}
+    for fid, value in direct.items():
+        assert [fam.family_value(fid, n, **params) for n in range(6)] == [value(n) for n in range(6)], fid
+        for need in fam.FAMILIES[fid].needs:
+            key = "lam" if need == "lambda" else need
+            with pytest.raises(DomainError, match=f"--{need}"):
+                fam.family_value(fid, 3, **{k: v for k, v in params.items() if k != key})
 
 
 def test_memoization_returns_identical_objects():

@@ -7,9 +7,11 @@ import pytest
 from polyfam import families as fam
 from polyfam.identities import (
     REGISTRY,
+    SLOTS,
     GridConfig,
     UnknownIdentityError,
     certification_lambdas,
+    grid_points,
     identity_grid_for,
     run_all,
     run_identity,
@@ -38,6 +40,24 @@ def test_registry_covers_the_catalog():
         "aux-euler-reflection",
     }
     assert set(REGISTRY) == expected
+
+
+def test_slots_are_grid_axes():
+    for identity in REGISTRY.values():
+        assert set(identity.slots) <= set(SLOTS), identity.id
+        assert ("lambda" in identity.slots) == (identity.lambda_degree_bound is not None), identity.id
+
+
+def test_default_grid_size():
+    assert sum(len(grid_points(i.slots, GridConfig())) for i in REGISTRY.values()) == 23383
+
+
+def test_grid_points_report_axis_parameters():
+    points = grid_points(REGISTRY["aux-srivastava-luo"].slots, SMALL)
+    assert len(points) == 4 * 2 * 2 * 2
+    assert {p["alpha"] for p in points} == {1, 2}  # integer orders only
+    assert set(points[0]) == {"n", "alpha", "lambda", "x"}
+    assert {p["m"] for p in grid_points(("gm",), SMALL)} == {0, 1, 2}
 
 
 @pytest.mark.parametrize("identity_id", sorted(REGISTRY))
