@@ -31,19 +31,19 @@ class UsageError(Exception):
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def _rational(text: str) -> Fraction:
-    try:
-        return parse_rational(text)
-    except DomainError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def _rational_list(text: str) -> list[Fraction]:
-    return [parse_rational(part) for part in text.split(",") if part.strip()]
+    """Comma-separated rationals; an empty part is an error, not an empty axis."""
+    parts = text.split(",")
+    if not all(part.strip() for part in parts):
+        raise DomainError(f"empty value in list {text!r}")
+    return [parse_rational(part) for part in parts]
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+    values = _rational_list(text)
+    if any(v.denominator != 1 for v in values):
+        raise DomainError(f"not a list of integers: {text!r}")
+    return [int(v) for v in values]
 
 
 def build_parser() -> argparse.ArgumentParser:

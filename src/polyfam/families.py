@@ -17,11 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import floor
 from typing import Callable
 
 from .poly import Poly
-from .rationals import DomainError, binomial, factorial, gen_binomial, rational_str
+from .rationals import DomainError, binomial, factorial, rational_str
 from .series import Series, binomial_power, expm1_over_t
 from .stirling import _FIRST, _SECOND, stirling2
 
@@ -140,13 +141,13 @@ def fubini(n: int) -> Rat:
 
 @lru_cache(maxsize=None)
 def general_geometric(n: int, alpha: Rat) -> Poly:
-    """w_{n,a}(x) = sum_k {n,k} C(a+k-1, k) k! x^k for rational a > 0."""
+    """w_{n,a}(x) = sum_k {n,k} C(a+k-1, k) k! x^k for rational a > 0; the
+    rising factorial C(a+k-1, k) k! = a(a+1)...(a+k-1) is carried across k."""
     alpha = Fraction(alpha)
     if alpha <= 0:
         raise DomainError(f"general geometric polynomials need alpha > 0, got {alpha}")
-    return Poly(
-        [stirling2(n, k) * gen_binomial(alpha + k - 1, k) * factorial(k) for k in range(n + 1)]
-    )
+    rising = list(accumulate(range(n), lambda r, k: r * (alpha + k), initial=Fraction(1)))
+    return Poly([stirling2(n, k) * rising[k] for k in range(n + 1)])
 
 
 def euler_classical(n: int) -> Rat:
@@ -158,10 +159,11 @@ def euler_classical(n: int) -> Rat:
 # higher-order Bernoulli numbers/polynomials (series route is canonical)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _bernoulli_series(l: int, order: int) -> Series:
-    """(t/(e^t - 1))^l truncated."""
-    return expm1_over_t(order).inverse() ** l
+def _order_through(n: int) -> int:
+    """The least power of two >= max(n, 16): one cached series at that order
+    serves every index below it, since truncated coefficients do not depend
+    on the order."""
+    return max(16, 1 << (n - 1).bit_length())
 
 
 @lru_cache(maxsize=None)
@@ -169,7 +171,7 @@ def bernoulli_higher(n: int, l: int = 1) -> Rat:
     """B_n of order l, as n! [t^n] (t/(e^t-1))^l."""
     if n < 0 or l < 1:
         raise DomainError("bernoulli_higher needs n >= 0 and integer order l >= 1")
-    return _bernoulli_series(l, max(n, 1)).egf_coeff(n)
+    return gf_bernoulli_higher(l, _order_through(n)).egf_coeff(n)
 
 
 def bernoulli_classical(n: int) -> Rat:
@@ -198,7 +200,7 @@ def bernoulli_second_kind(n: int) -> Rat:
     """c_n = [t^n] of t/log(1+t)."""
     if n < 0:
         raise DomainError("bernoulli_second_kind needs n >= 0")
-    return gf_bernoulli_second_kind(max(n, 1)).coeff(n)
+    return gf_bernoulli_second_kind(_order_through(n)).coeff(n)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +210,8 @@ def bernoulli_second_kind(n: int) -> Rat:
 @lru_cache(maxsize=None)
 def apostol_bernoulli_higher(n: int, l: int, lam: Rat) -> Rat:
     """Closed-sum route; zero for n < l, matching the t-adic valuation of the
-    generating series (t/(lam e^t - 1))^l for lam != 1."""
+    generating series (t/(lam e^t - 1))^l for lam != 1: l! C(n,l) sum_k {n-l,k}
+    l(l+1)...(l+k-1) (-lam)^k/(lam-1)^(l+k), one integer over (p-q)^n for lam = p/q."""
     lam = Fraction(lam)
     if lam == 1:
         raise DomainError("lambda=1 not in domain; use bernoulli-higher")
@@ -216,16 +219,13 @@ def apostol_bernoulli_higher(n: int, l: int, lam: Rat) -> Rat:
         raise DomainError("order l must be a positive integer")
     if n < l:
         return Fraction(0)
-    acc = Fraction(0)
+    p, q = lam.as_integer_ratio()
+    d, acc, rising, power = p - q, 0, 1, 1  # Horner in d; rising = l(l+1)..., power = (-p)^k
     for k in range(n - l + 1):
-        acc += (
-            stirling2(n - l, k)
-            * gen_binomial(l + k - 1, k)
-            * (-lam) ** k
-            * factorial(k)
-            / (lam - 1) ** (l + k)
-        )
-    return factorial(l) * binomial(n, l) * acc
+        acc = acc * d + stirling2(n - l, k) * rising * power
+        rising *= l + k
+        power *= -p
+    return Fraction(factorial(l) * binomial(n, l) * q**l * acc, d**n)
 
 
 @lru_cache(maxsize=None)
@@ -249,20 +249,19 @@ def euler_prefactor_base(lam: Rat) -> Rat:
 
 @lru_cache(maxsize=None)
 def apostol_euler_mantissa(n: int, alpha: Rat, lam: Rat) -> Rat:
-    """M with E_n^{(a)}(lam) = (2/(lam+1))^a M; closed Stirling sum."""
+    """M with E_n^{(a)}(lam) = (2/(lam+1))^a M; the closed Stirling sum
+    M = sum_k {n,k} a(a+1)...(a+k-1) (-lam/(lam+1))^k, taken in integers: with
+    a = a/b and lam = p/q each term is an integer over (b(p+q))^k."""
     lam, alpha = Fraction(lam), Fraction(alpha)
     if lam == -1:
         raise DomainError("lambda=-1 is a pole of the Euler-type families")
-    acc = Fraction(0)
+    (a, b), (p, q) = alpha.as_integer_ratio(), lam.as_integer_ratio()
+    d, acc, rising, power = b * (p + q), 0, 1, 1  # Horner in d; rising = prod(a+ib), power = (-p)^k
     for k in range(n + 1):
-        acc += (
-            stirling2(n, k)
-            * gen_binomial(alpha + k - 1, k)
-            * factorial(k)
-            * (-lam) ** k
-            / (lam + 1) ** k
-        )
-    return acc
+        acc = acc * d + stirling2(n, k) * rising * power
+        rising *= a + k * b
+        power *= -p
+    return Fraction(acc, d**n)
 
 
 @lru_cache(maxsize=None)
@@ -315,7 +314,7 @@ def gf_bernoulli_higher(l: int, order: int) -> Series:
     """(t/(e^t - 1))^l."""
     if l < 1:
         raise DomainError("order l must be a positive integer")
-    return _bernoulli_series(l, order)
+    return expm1_over_t(order).inverse() ** l
 
 
 @lru_cache(maxsize=None)

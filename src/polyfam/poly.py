@@ -57,9 +57,6 @@ class Poly:
             return self._c[k]
         return Fraction(0)
 
-    def is_zero(self) -> bool:
-        return not self._c
-
     def __add__(self, other: "Poly | Fraction | int") -> "Poly":
         other = _as_poly(other)
         n = max(len(self._c), len(other._c))

@@ -57,13 +57,10 @@ def binomial(n: int, k: int) -> int:
 def gen_binomial(r: Fraction | int, k: int) -> Fraction:
     """Generalized binomial coefficient C(r, k) = r(r-1)...(r-k+1)/k!.
 
-    Computed as the exact falling-factorial product, so it is valid for any
-    rational upper argument (including negative ones).
+    For r = p/q the falling product p(p-q)...(p-(k-1)q) is built in integers and
+    divided once by q^k k!, so any rational upper argument is valid (negative too).
     """
     if k < 0:
         raise DomainError(f"gen_binomial requires k >= 0, got {k}")
-    r = Fraction(r)
-    num = Fraction(1)
-    for i in range(k):
-        num *= r - i
-    return num / math.factorial(k)
+    p, q = Fraction(r).as_integer_ratio()
+    return Fraction(math.prod(p - i * q for i in range(k)), q**k * math.factorial(k))

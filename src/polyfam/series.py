@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterable
 
-from .rationals import DomainError, gen_binomial, rational_str
+from .rationals import DomainError, rational_str
 
 
 class Series:
@@ -143,16 +143,15 @@ class Series:
         return Series(out, n)
 
     def exp(self) -> "Series":
-        """exp of a series with zero constant term: sum_j self^j / j!."""
+        """exp(u), u_0 = 0, in O(order^2) from f' = u'f: i f_i = sum_k k u_k f_{i-k}."""
         if self._c[0] != 0:
             raise DomainError("series exponential needs a zero constant term")
         n = self._order
-        out = Series.one(n)
-        p = Series.one(n)
-        for j in range(1, n + 1):
-            p = p * self
-            out = out + p * Fraction(1, factorial(j))
-        return out
+        ku = [k * c for k, c in enumerate(self._c)]
+        out = [Fraction(1)]
+        for i in range(1, n + 1):
+            out.append(sum((ku[k] * out[i - k] for k in range(1, i + 1) if ku[k]), Fraction(0)) / i)
+        return Series(out, n)
 
     def derivative(self) -> "Series":
         if self._order == 0:
@@ -189,19 +188,20 @@ def binomial_power(a: Series, r: Fraction | int) -> Series:
     The base must have constant term exactly 1; callers with a different unit
     constant factor it out first (a rational power of a general constant is
     not rational, so it cannot live inside this module).
+
+    J.C.P. Miller's recurrence (Knuth, TAOCP Vol. 2, 4.7), O(order^2): a f' = r a' f
+    gives i f_i = sum_{k=1..i} (k(r+1) - i) a_k f_{i-k}, with r = p/q summed as
+    integer weights k(p+q) - iq over iq.
     """
     if a.coeffs[0] != 1:
         raise DomainError("binomial_power needs constant term 1 (normalize first)")
-    r = Fraction(r)
-    n = a.order
-    u = a - Series.one(n)
-    out = Series.zero(n)
-    p = Series.one(n)
-    for j in range(n + 1):
-        out = out + p * gen_binomial(r, j)
-        if j < n:
-            p = p * u
-    return out
+    p, q = Fraction(r).as_integer_ratio()
+    n, c = a.order, a.coeffs
+    out = [Fraction(1)]
+    for i in range(1, n + 1):
+        terms = ((k * (p + q) - i * q) * c[k] * out[i - k] for k in range(1, i + 1) if c[k])
+        out.append(sum(terms, Fraction(0)) / (i * q))
+    return Series(out, n)
 
 
 def log1p_series(order: int) -> Series:

@@ -115,3 +115,77 @@ def convolve_coeffs(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
+
+
+# -- naive Fraction kernels: the O(n^2) closed sums and O(n^3) series powers --
+
+def stirling2_by_recurrence(n: int) -> list[int]:
+    """Row n of {n, k} from {n, k} = k {n-1, k} + {n-1, k-1}."""
+    row = [1]
+    for m in range(1, n + 1):
+        row = [(k * row[k] if k < m else 0) + (row[k - 1] if k else 0) for k in range(m + 1)]
+    return row
+
+
+def gen_binomial_by_product(r: Fraction, k: int) -> Fraction:
+    """C(r, k) as a Fraction falling product over k!."""
+    num = Fraction(1)
+    for i in range(k):
+        num *= Fraction(r) - i
+    return num / factorial(k)
+
+
+def general_geometric_coeffs_naive(n: int, alpha: Fraction) -> list[Fraction]:
+    """Coefficients {n,k} C(a+k-1, k) k! of w_{n,a}(x)."""
+    row = stirling2_by_recurrence(n)
+    return [row[k] * gen_binomial_by_product(alpha + k - 1, k) * factorial(k) for k in range(n + 1)]
+
+
+def apostol_euler_mantissa_naive(n: int, alpha: Fraction, lam: Fraction) -> Fraction:
+    """sum_k {n,k} C(a+k-1, k) k! (-lam)^k / (lam+1)^k, term by term."""
+    row = stirling2_by_recurrence(n)
+    return sum(
+        (row[k] * gen_binomial_by_product(alpha + k - 1, k) * factorial(k) * (-lam) ** k / (lam + 1) ** k
+         for k in range(n + 1)),
+        Fraction(0),
+    )
+
+
+def apostol_bernoulli_higher_naive(n: int, l: int, lam: Fraction) -> Fraction:
+    """l! C(n,l) sum_k {n-l,k} C(l+k-1, k) k! (-lam)^k / (lam-1)^(l+k), term by term."""
+    if n < l:
+        return Fraction(0)
+    row = stirling2_by_recurrence(n - l)
+    acc = sum(
+        (row[k] * gen_binomial_by_product(Fraction(l + k - 1), k) * factorial(k) * (-lam) ** k
+         / (lam - 1) ** (l + k) for k in range(n - l + 1)),
+        Fraction(0),
+    )
+    return factorial(l) * comb(n, l) * acc
+
+
+def _powers_of(u: list[Fraction]):
+    """u^0, u^1, ..., u^order of a coefficient list, truncated at its order."""
+    order = len(u) - 1
+    p = [Fraction(1)] + [Fraction(0)] * order
+    for _ in range(order + 1):
+        yield p
+        p = convolve_coeffs(p, u)[: order + 1]
+
+
+def binomial_power_by_sum(a: list[Fraction], r: Fraction) -> list[Fraction]:
+    """(1 + u)^r = sum_j C(r, j) u^j for a = 1 + u, truncated at a's order."""
+    u = [Fraction(0)] + list(a[1:])
+    out = [Fraction(0)] * len(a)
+    for j, p in enumerate(_powers_of(u)):
+        c = gen_binomial_by_product(r, j)
+        out = [o + c * v for o, v in zip(out, p)]
+    return out
+
+
+def exp_by_sum(u: list[Fraction]) -> list[Fraction]:
+    """exp(u) = sum_j u^j / j! for u with zero constant term."""
+    out = [Fraction(0)] * len(u)
+    for j, p in enumerate(_powers_of(list(u))):
+        out = [o + v / factorial(j) for o, v in zip(out, p)]
+    return out

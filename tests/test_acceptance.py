@@ -5,6 +5,7 @@ lines; every check is exact (no tolerances anywhere), and the stated wall-time
 budgets are asserted.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -208,6 +209,7 @@ def _run_cli(*argv: str) -> subprocess.CompletedProcess:
 
 
 VERIFY_ALL_SECONDS = None
+VERIFY_ALL_SHA256 = "1a3d006f9e05edcc1ca5433e1bfa2a57a01b62bfcf04e566eb15cb7abcebc740"
 
 
 def test_criterion_09_determinism_and_exit_codes():
@@ -219,6 +221,8 @@ def test_criterion_09_determinism_and_exit_codes():
         four = _run_cli("verify", "--all", "--format", "json", "--jobs", "4")
         assert one.returncode == 0 and four.returncode == 0
         assert one.stdout == four.stdout
+        # the behaviour contract: the default-grid report, byte for byte
+        assert hashlib.sha256(one.stdout.encode()).hexdigest() == VERIFY_ALL_SHA256
         payload = json.loads(one.stdout)
         assert payload["summary"]["fail"] == 0
         # parsing and re-serializing reproduces the bytes

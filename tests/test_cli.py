@@ -235,6 +235,19 @@ def test_verify_negative_fractions_as_separate_argument(capsys):
     assert {r["params"]["lambda"] for r in reports} == {"-3", "1/2"}
 
 
+@pytest.mark.parametrize("flag", ["--lambda=,", "--l=1,,2", "--x=", "--alpha=1/2,"])
+def test_verify_rejects_empty_list_parts(capsys, flag):
+    code, out, err = run_cli(capsys, "verify", "--id", "aux-wang", flag)
+    assert code == 2 and out == ""
+    assert "empty value in list" in err
+
+
+def test_verify_rejects_non_integer_orders(capsys):
+    for value in ("abc", "1/2"):
+        code, _, err = run_cli(capsys, "verify", "--id", "aux-wang", f"--l={value}")
+        assert code == 2 and "error:" in err
+
+
 def test_config_file_errors(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("not a key value line\n")

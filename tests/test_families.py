@@ -139,6 +139,20 @@ def test_bernoulli_second_kind_against_integration_oracle():
     assert [fam.bernoulli_second_kind(n) for n in range(3)] == [1, F(1, 2), F(-1, 12)]
 
 
+def test_bernoulli_tables_share_one_series_across_indices():
+    for cached in (fam.bernoulli_higher, fam.bernoulli_second_kind,
+                   fam.gf_bernoulli_higher, fam.gf_bernoulli_second_kind):
+        cached.cache_clear()
+    for l in (1, 2, 3):
+        values = [fam.bernoulli_higher(n, l) for n in range(41)]
+        assert values == [fam.gf_bernoulli_higher(l, 40).egf_coeff(n) for n in range(41)]
+    values = [fam.bernoulli_second_kind(n) for n in range(41)]
+    assert values == list(fam.gf_bernoulli_second_kind(40).coeffs)
+    # orders 16, 32 and 64 per series, then each order-40 reference
+    assert fam.gf_bernoulli_higher.cache_info().misses == 3 * 3 + 3
+    assert fam.gf_bernoulli_second_kind.cache_info().misses == 3 + 1
+
+
 # -- Apostol-Bernoulli family -------------------------------------------------
 
 def test_apostol_bernoulli_values():

@@ -1,0 +1,72 @@
+"""The integer closed sums and the O(n^2) series recurrences against naive
+Fraction references (term-by-term sums and power sums, in oracles.py)."""
+
+from fractions import Fraction as F
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from polyfam import families as fam
+from polyfam.rationals import gen_binomial
+from polyfam.series import Series, binomial_power
+
+from .oracles import (
+    apostol_bernoulli_higher_naive,
+    apostol_euler_mantissa_naive,
+    binomial_power_by_sum,
+    exp_by_sum,
+    gen_binomial_by_product,
+    general_geometric_coeffs_naive,
+)
+
+# lambda = p/q with the grid's special values drawn on purpose
+lambdas = st.one_of(
+    st.sampled_from([F(0), F(-3), F(2), F(1, 3), F(-1, 2), F(5)]),
+    st.fractions(min_value=-12, max_value=12, max_denominator=9),
+)
+alphas = st.fractions(min_value=-8, max_value=8, max_denominator=7)
+positive_alphas = alphas.filter(lambda a: a > 0)
+indices = st.integers(min_value=0, max_value=30)
+coeff = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@given(st.fractions(min_value=-40, max_value=40, max_denominator=15), indices)
+@example(F(-5, 3), 7)
+@example(F(0), 4)
+def test_gen_binomial_matches_falling_product(r, k):
+    assert gen_binomial(r, k) == gen_binomial_by_product(r, k)
+
+
+@given(indices, alphas, lambdas.filter(lambda lam: lam != -1))
+@example(12, F(1, 2), F(0))
+@example(12, F(-7, 3), F(-3))
+def test_apostol_euler_mantissa_matches_term_sum(n, alpha, lam):
+    assert fam.apostol_euler_mantissa(n, alpha, lam) == apostol_euler_mantissa_naive(n, alpha, lam)
+
+
+@given(indices, st.integers(min_value=1, max_value=6), lambdas.filter(lambda lam: lam != 1))
+@example(20, 3, F(0))
+@example(20, 2, F(-3))
+def test_apostol_bernoulli_higher_matches_term_sum(n, l, lam):
+    assert fam.apostol_bernoulli_higher(n, l, lam) == apostol_bernoulli_higher_naive(n, l, lam)
+
+
+@given(indices, positive_alphas)
+def test_general_geometric_matches_term_sum(n, alpha):
+    assert list(fam.general_geometric(n, alpha).coeffs) == general_geometric_coeffs_naive(n, alpha)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(coeff, max_size=20), st.fractions(min_value=-6, max_value=6, max_denominator=8))
+@example([F(1), F(-2, 3), F(5)], F(-7, 2))
+@example([F(3), F(1, 2)], F(-1, 3))
+def test_binomial_power_matches_power_sum(tail, r):
+    a = [F(1)] + tail
+    assert list(binomial_power(Series(a), r).coeffs) == binomial_power_by_sum(a, r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(coeff, max_size=20))
+def test_exp_matches_power_sum(tail):
+    u = [F(0)] + tail
+    assert list(Series(u).exp().coeffs) == exp_by_sum(u)
