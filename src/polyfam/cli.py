@@ -15,6 +15,7 @@ import re
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from itertools import islice
 
 from . import families as fam
 from .identities import REGISTRY, GridConfig, UnknownIdentityError, run_all
@@ -163,8 +164,16 @@ def _emit_csv(rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
-def _json_dumps(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+_JSON_BLOCK = 65536  # encoder chunks joined per write
+
+
+def _write_json(obj) -> None:
+    """Write json.dumps(obj, indent=2) and a newline to stdout, joining the
+    encoder's chunks in blocks instead of one string of the whole output."""
+    chunks = json.JSONEncoder(indent=2).iterencode(obj)
+    while block := list(islice(chunks, _JSON_BLOCK)):
+        sys.stdout.write("".join(block))
+    sys.stdout.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +198,7 @@ def cmd_table(args) -> int:
             "params": _param_obj(alpha=alpha, l=args.l, lam=lam),
             "rows": [{"n": n, "value": _value_strings(v)[1]} for n, v in enumerate(values)],
         }
-        sys.stdout.write(_json_dumps(payload))
+        _write_json(payload)
     elif args.format == "csv":
         sys.stdout.write(_emit_csv([[str(n), _value_strings(v)[0]] for n, v in enumerate(values)]))
     else:
@@ -271,7 +280,7 @@ def cmd_verify(args) -> int:
                 identity_id: {"degree_bound": bound, "lambda_points": 2 * bound + 2}
                 for identity_id, bound in sorted(bounds.items())
             }
-        sys.stdout.write(_json_dumps(payload))
+        _write_json(payload)
     elif args.format == "csv":
         rows = [["id", "params", "status", "lhs", "rhs", "micros"]]
         for r in reports:
@@ -317,7 +326,7 @@ def cmd_series(args) -> int:
                    "coeffs": coeffs, "egf": egf}
         if prefactor:
             payload["prefactor"] = prefactor
-        sys.stdout.write(_json_dumps(payload))
+        _write_json(payload)
     elif args.format == "csv":
         rows = [["n", "coeff", "egf"]] + [[str(n), coeffs[n], egf[n]] for n in range(series.order + 1)]
         sys.stdout.write(_emit_csv(rows))

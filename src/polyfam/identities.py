@@ -17,6 +17,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import Callable
 
@@ -317,17 +318,17 @@ def _chk_gf_apostol_bernoulli_shift(pt, grid) -> list[Pair]:
 def _chk_w_general_recurrence(pt, grid) -> list[Pair]:
     n, m, alpha = pt["n"], pt["m"], F(pt["alpha"])
     lhs = fam.general_geometric(n + m, alpha)
-    rhs = Poly.zero()
+    coeffs = [F(0)] * (n + m + 1)
+    rising = F(1)  # alpha(alpha+1)...(alpha+k-1), carried across k
     for k in range(m + 1):
-        s = stirling2(m, k)
-        if not s:
-            continue
-        base = s * gen_binomial(alpha + k - 1, k) * factorial(k)
+        base = stirling2(m, k) * rising
         for j in range(n + 1):
-            coef = base * binomial(n, j) * F(k) ** (n - j)
+            coef = base * binomial(n, j) * k ** (n - j)
             if coef:
-                rhs = rhs + Poly.monomial(k, coef) * fam.general_geometric(j, alpha + k)
-    return [("", lhs, rhs)]
+                for i, c in enumerate(fam.general_geometric(j, alpha + k).coeffs):
+                    coeffs[k + i] += coef * c
+        rising *= alpha + k
+    return [("", lhs, Poly(coeffs))]
 
 
 def _chk_w_explicit(pt, grid) -> list[Pair]:
@@ -360,19 +361,44 @@ def _chk_fubini_explicit(pt, grid) -> list[Pair]:
     return [("", lhs, rhs)]
 
 
+def _euler_shift_sum(n: int, m: int, alpha: Fraction, lam: Fraction, inner) -> Fraction:
+    """sum_k {m,k} a(a+1)...(a+k-1) (-lam/(lam+1))^k V_k for Euler-side values
+    V_k = inner(k, d^n)/d^n: with a = a/b and lam = p/q every mantissa M_j and
+    polynomial mantissa at an integer point has a denominator dividing d^j,
+    d = b(p+q), so the sum is one integer over d^(n+m) (Horner in d)."""
+    (a, b), (p, q) = alpha.as_integer_ratio(), lam.as_integer_ratio()
+    d, acc, rising, power = b * (p + q), 0, 1, 1  # rising = prod(a+ib), power = (-p)^k
+    dn = d**n
+    for k in range(m + 1):
+        s = stirling2(m, k)
+        acc = acc * d + (s * rising * power * inner(k, dn) if s else 0)
+        rising *= a + k * b
+        power *= -p
+    return F(acc, dn * d**m)
+
+
+def _over(v: Fraction, dn: int) -> int:
+    """The numerator of v over the common denominator dn, which v's divides."""
+    return v.numerator * (dn // v.denominator)
+
+
+def _euler_stirling1_sum(lo: int, m: int, alpha: Fraction, lam: Fraction) -> Fraction:
+    """sum_k (-1)^k [m,k] M_{lo+k}, one integer over d^(lo+m) as in _euler_shift_sum."""
+    (_, b), (p, q) = alpha.as_integer_ratio(), lam.as_integer_ratio()
+    dn = (b * (p + q)) ** (lo + m)
+    terms = ((-1) ** k * stirling1_unsigned(m, k) * _over(fam.apostol_euler_mantissa(lo + k, alpha, lam), dn)
+             for k in range(m + 1))
+    return F(sum(terms), dn)
+
+
 def _chk_apostol_euler_recurrence(pt, grid) -> list[Pair]:
     n, m, alpha, lam = pt["n"], pt["m"], F(pt["alpha"]), F(pt["lambda"])
     _need_euler_domain(lam)
-    b = fam.euler_prefactor_base(lam)
     lhs = fam.apostol_euler_mantissa(n + m, alpha, lam)
-    rhs = F(0)
-    for k in range(m + 1):
-        s = stirling2(m, k)
-        if not s:
-            continue
-        base = s * gen_binomial(alpha + k - 1, k) * (-lam) ** k * factorial(k) / 2**k * b**k
-        for j in range(n + 1):
-            rhs += base * binomial(n, j) * F(k) ** (n - j) * fam.apostol_euler_mantissa(j, alpha + k, lam)
+    rhs = _euler_shift_sum(n, m, alpha, lam, lambda k, dn: sum(
+        binomial(n, j) * k ** (n - j) * _over(fam.apostol_euler_mantissa(j, alpha + k, lam), dn)
+        for j in range(n + 1)
+    ))
     return [("", lhs, rhs)]
 
 
@@ -485,22 +511,33 @@ def _chk_apostol_bernoulli_classical(pt, grid) -> list[Pair]:
     return [("geometric-eval", value, geo), ("stirling-sum", value, explicit)]
 
 
+# The four identities below cross grid axes that one half of their check never
+# reads (alpha on the Bernoulli side, l on the Euler side), so each half is
+# cached, keyed by exactly the parameters it reads; checkers copy the pairs
+# into a fresh list, which --perturb may then edit.
+
+@lru_cache(maxsize=None)
+def _connection_euler(n: int, alpha: Fraction, lam: Fraction) -> tuple[Pair, ...]:
+    if lam == -1:
+        return ()
+    # mantissa form: the (lam+1)/2 powers cancel exactly
+    return (("euler-connection",
+             fam.general_geometric(n, alpha)(-lam / (lam + 1)),
+             fam.apostol_euler_mantissa(n, alpha, lam)),)
+
+
+@lru_cache(maxsize=None)
+def _connection_bernoulli(n: int, l: int, lam: Fraction) -> tuple[Pair, ...]:
+    if lam == 1:
+        return ()
+    return (("bernoulli-connection",
+             fam.general_geometric(n, l)(-lam / (lam - 1)),
+             (lam - 1) ** l / factorial(l) / binomial(n + l, l) * fam.apostol_bernoulli_higher(n + l, l, lam)),)
+
+
 def _chk_w_connections(pt, grid) -> list[Pair]:
     n, alpha, l, lam = pt["n"], F(pt["alpha"]), pt["l"], F(pt["lambda"])
-    pairs: list[Pair] = []
-    if lam != -1:
-        # Euler connection in mantissa form: the (lam+1)/2 powers cancel exactly
-        pairs.append((
-            "euler-connection",
-            fam.general_geometric(n, alpha)(-lam / (lam + 1)),
-            fam.apostol_euler_mantissa(n, alpha, lam),
-        ))
-    if lam != 1:
-        pairs.append((
-            "bernoulli-connection",
-            fam.general_geometric(n, l)(-lam / (lam - 1)),
-            (lam - 1) ** l / factorial(l) / binomial(n + l, l) * fam.apostol_bernoulli_higher(n + l, l, lam),
-        ))
+    pairs: list[Pair] = [*_connection_euler(n, alpha, lam), *_connection_bernoulli(n, l, lam)]
     if alpha == 1 and l == 1:
         pairs.append(("euler-value", fam.geometric_poly(n)(F(-1, 2)), fam.euler_classical(n)))
     if not pairs:
@@ -508,56 +545,37 @@ def _chk_w_connections(pt, grid) -> list[Pair]:
     return pairs
 
 
+@lru_cache(maxsize=None)
+def _prop_euler(n: int, m: int, alpha: Fraction, lam: Fraction) -> tuple[Pair, ...]:
+    def inner(k, dn):
+        return _over(fam.apostol_euler_poly_mantissa(n, alpha + k, F(k), lam), dn)
+
+    return (("euler-shift", fam.apostol_euler_mantissa(n + m, alpha, lam), _euler_shift_sum(n, m, alpha, lam, inner)),)
+
+
+@lru_cache(maxsize=None)
+def _prop_bernoulli(n: int, m: int, l: int, lam: Fraction) -> tuple[Pair, ...]:
+    lhs = _bern(n + m + l, l, lam) / binomial(n + m + l, l)
+    rhs = F(0)
+    for k in range(m + 1):
+        s = stirling2(m, k)
+        if s:
+            rhs += s * l * (-lam) ** k / ((l + k) * binomial(n + l + k, n)) * _bern_poly(n + l + k, k + l, F(k), lam)
+    return (("bernoulli-shift", lhs, rhs),)
+
+
 def _chk_poly_shift_prop(pt, grid) -> list[Pair]:
     n, m, l, alpha, lam = pt["n"], pt["m"], pt["l"], F(pt["alpha"]), F(pt["lambda"])
     _need_euler_domain(lam)
+    return [*_prop_euler(n, m, alpha, lam), *_prop_bernoulli(n, m, l, lam)]
+
+
+@lru_cache(maxsize=None)
+def _theorem_euler(n: int, m: int, alpha: Fraction, lam: Fraction) -> tuple[Pair, ...]:
     b = fam.euler_prefactor_base(lam)
-    lhs_e = fam.apostol_euler_mantissa(n + m, alpha, lam)
-    rhs_e = F(0)
-    for k in range(m + 1):
-        s = stirling2(m, k)
-        if s:
-            rhs_e += (
-                s
-                * gen_binomial(alpha + k - 1, k)
-                * (-lam / 2) ** k
-                * factorial(k)
-                * b**k
-                * fam.apostol_euler_poly_mantissa(n, alpha + k, F(k), lam)
-            )
-    lhs_b = _bern(n + m + l, l, lam) / binomial(n + m + l, l)
-    rhs_b = F(0)
-    for k in range(m + 1):
-        s = stirling2(m, k)
-        if s:
-            rhs_b += (
-                s
-                * l
-                * (-lam) ** k
-                / ((l + k) * binomial(n + l + k, n))
-                * _bern_poly(n + l + k, k + l, F(k), lam)
-            )
-    return [("euler-shift", lhs_e, rhs_e), ("bernoulli-shift", lhs_b, rhs_b)]
-
-
-def _chk_poly_shift_theorem(pt, grid) -> list[Pair]:
-    n, m, l, alpha, lam = pt["n"], pt["m"], pt["l"], F(pt["alpha"]), F(pt["lambda"])
-    _need_euler_domain(lam)
-    if lam == 0:
-        raise SkipDomain("lambda=0: reciprocal parameter undefined")
-    b = fam.euler_prefactor_base(lam)
-    pairs: list[Pair] = []
-
     lhs_e = b**m * fam.apostol_euler_poly_mantissa(n, alpha + m, F(m), lam)
-    rhs_e = (F(2) / lam) ** m / factorial(m) / gen_binomial(alpha + m - 1, m) * sum(
-        (
-            F(-1) ** k * stirling1_unsigned(m, k) * fam.apostol_euler_mantissa(n + k, alpha, lam)
-            for k in range(m + 1)
-        ),
-        F(0),
-    )
-    pairs.append(("euler-shift", lhs_e, rhs_e))
-
+    rhs_e = (F(2) / lam) ** m / factorial(m) / gen_binomial(alpha + m - 1, m) * _euler_stirling1_sum(n, m, alpha, lam)
+    pairs: list[Pair] = [("euler-shift", lhs_e, rhs_e)]
     if lam == 1:
         refl = F(-1) ** n * fam.apostol_euler_poly_mantissa(n, alpha + m, alpha, F(1))
         pairs.append(("euler-reflection", fam.apostol_euler_poly_mantissa(n, alpha + m, F(m), F(1)), refl))
@@ -572,49 +590,46 @@ def _chk_poly_shift_theorem(pt, grid) -> list[Pair]:
             * fam.apostol_euler_poly_mantissa(n, F(order_a), alpha, 1 / lam)
         )
         pairs.append(("euler-reflection", plain, refl))
+    return tuple(pairs)
 
+
+@lru_cache(maxsize=None)
+def _theorem_bernoulli(n: int, m: int, l: int, lam: Fraction) -> tuple[Pair, ...]:
     lhs_b = _bern_poly(n + m + l, m + l, F(m), lam)
-    rhs_b = F(l + m) / (l * lam**m) * binomial(n + m + l, n) * sum(
-        (
-            F(-1) ** k
-            * stirling1_unsigned(m, k)
-            / binomial(n + l + k, l)
-            * _bern(n + l + k, l, lam)
-            for k in range(m + 1)
-        ),
-        F(0),
-    )
-    pairs.append(("bernoulli-shift", lhs_b, rhs_b))
-
+    terms = (F(-1) ** k * stirling1_unsigned(m, k) / binomial(n + l + k, l) * _bern(n + l + k, l, lam)
+             for k in range(m + 1))
+    rhs_b = F(l + m) / (l * lam**m) * binomial(n + m + l, n) * sum(terms, F(0))
     refl_b = F(-1) ** (n + m + l) * lam ** (-(m + l)) * _bern_poly(n + m + l, m + l, F(l), 1 / lam)
-    pairs.append(("bernoulli-reflection", lhs_b, refl_b))
-    return pairs
+    return (("bernoulli-shift", lhs_b, rhs_b), ("bernoulli-reflection", lhs_b, refl_b))
+
+
+def _chk_poly_shift_theorem(pt, grid) -> list[Pair]:
+    n, m, l, alpha, lam = pt["n"], pt["m"], pt["l"], F(pt["alpha"]), F(pt["lambda"])
+    _need_euler_domain(lam)
+    if lam == 0:
+        raise SkipDomain("lambda=0: reciprocal parameter undefined")
+    return [*_theorem_euler(n, m, alpha, lam), *_theorem_bernoulli(n, m, l, lam)]
+
+
+@lru_cache(maxsize=None)
+def _finite_sums_euler(m: int, alpha: Fraction, lam: Fraction) -> tuple[Pair, ...]:
+    rhs = lam**m * factorial(m) / (lam + 1) ** m * gen_binomial(alpha + m - 1, m)
+    return (("euler-sum", _euler_stirling1_sum(0, m, alpha, lam), rhs),)
+
+
+@lru_cache(maxsize=None)
+def _finite_sums_bernoulli(m: int, l: int, lam: Fraction) -> tuple[Pair, ...]:
+    if lam == 1:
+        return ()
+    terms = (F(-1) ** k * stirling1_unsigned(m, k) / binomial(l + k, l) * fam.apostol_bernoulli_higher(l + k, l, lam)
+             for k in range(m + 1))
+    return (("bernoulli-sum", sum(terms, F(0)), l * lam**m * factorial(m + l - 1) / (lam - 1) ** (m + l)),)
 
 
 def _chk_finite_sums(pt, grid) -> list[Pair]:
     m, l, alpha, lam = pt["m"], pt["l"], F(pt["alpha"]), F(pt["lambda"])
     _need_euler_domain(lam)
-    pairs: list[Pair] = []
-    lhs_e = sum(
-        (F(-1) ** k * stirling1_unsigned(m, k) * fam.apostol_euler_mantissa(k, alpha, lam) for k in range(m + 1)),
-        F(0),
-    )
-    rhs_e = lam**m * factorial(m) / (lam + 1) ** m * gen_binomial(alpha + m - 1, m)
-    pairs.append(("euler-sum", lhs_e, rhs_e))
-    if lam != 1:
-        lhs_b = sum(
-            (
-                F(-1) ** k
-                * stirling1_unsigned(m, k)
-                / binomial(l + k, l)
-                * fam.apostol_bernoulli_higher(l + k, l, lam)
-                for k in range(m + 1)
-            ),
-            F(0),
-        )
-        rhs_b = l * lam**m * factorial(m + l - 1) / (lam - 1) ** (m + l)
-        pairs.append(("bernoulli-sum", lhs_b, rhs_b))
-    return pairs
+    return [*_finite_sums_euler(m, alpha, lam), *_finite_sums_bernoulli(m, l, lam)]
 
 
 def _chk_diag_bernoulli_values(pt, grid) -> list[Pair]:

@@ -36,6 +36,8 @@ def parse_rational(text: str) -> Fraction:
 
 def rational_str(value: Fraction | int) -> str:
     """Canonical form: ``"p/q"``, or ``"p"`` when the denominator is 1."""
+    if type(value) is int or type(value) is Fraction:  # exact: a bool prints as 1
+        return str(value)
     return str(Fraction(value))
 
 

@@ -1,7 +1,8 @@
 """Brute-force reference implementations used only as test oracles.
 
 Everything here is deliberately naive (enumeration, defining recurrences,
-polynomial integration) and independent of the package's computation paths.
+polynomial integration) and independent of the package's computation paths,
+except the old checker bodies at the end, which read the package's families.
 """
 
 from __future__ import annotations
@@ -9,6 +10,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial
+
+from polyfam import families as fam
+from polyfam.identities import SkipDomain
+from polyfam.poly import Poly
+from polyfam.stirling import stirling1_unsigned, stirling2
 
 
 def set_partitions(n: int):
@@ -189,3 +195,170 @@ def exp_by_sum(u: list[Fraction]) -> list[Fraction]:
     for j, p in enumerate(_powers_of(list(u))):
         out = [o + v / factorial(j) for o, v in zip(out, p)]
     return out
+
+
+# -- the Fraction checker bodies that the identity checkers replaced ----------
+# Each takes a grid point and returns its (label, lhs, rhs) pairs term by term,
+# reading the same family values as the package's checkers; what they check is
+# the checkers' own arithmetic: integer sums, carried rising factorials and
+# pairs served from the per-half caches.
+
+F = Fraction
+
+
+def _bern(n, l, lam):
+    return fam.bernoulli_higher(n, l) if lam == 1 else fam.apostol_bernoulli_higher(n, l, lam)
+
+
+def _bern_poly(n, l, x0, lam):
+    return fam.bernoulli_higher_poly(n, l, F(x0)) if lam == 1 else fam.apostol_bernoulli_poly(n, l, F(x0), lam)
+
+
+def _need_euler_domain(lam):
+    if lam == -1:
+        raise SkipDomain("lambda=-1 is a pole of the Euler-type families")
+
+
+def chk_w_general_recurrence(pt):
+    n, m, alpha = pt["n"], pt["m"], F(pt["alpha"])
+    lhs = fam.general_geometric(n + m, alpha)
+    rhs = Poly.zero()
+    for k in range(m + 1):
+        s = stirling2(m, k)
+        if not s:
+            continue
+        base = s * gen_binomial_by_product(alpha + k - 1, k) * factorial(k)
+        for j in range(n + 1):
+            coef = base * comb(n, j) * F(k) ** (n - j)
+            if coef:
+                rhs = rhs + Poly.monomial(k, coef) * fam.general_geometric(j, alpha + k)
+    return [("", lhs, rhs)]
+
+
+def chk_apostol_euler_recurrence(pt):
+    n, m, alpha, lam = pt["n"], pt["m"], F(pt["alpha"]), F(pt["lambda"])
+    _need_euler_domain(lam)
+    b = fam.euler_prefactor_base(lam)
+    lhs = fam.apostol_euler_mantissa(n + m, alpha, lam)
+    rhs = F(0)
+    for k in range(m + 1):
+        s = stirling2(m, k)
+        if not s:
+            continue
+        base = s * gen_binomial_by_product(alpha + k - 1, k) * (-lam) ** k * factorial(k) / 2**k * b**k
+        for j in range(n + 1):
+            rhs += base * comb(n, j) * F(k) ** (n - j) * fam.apostol_euler_mantissa(j, alpha + k, lam)
+    return [("", lhs, rhs)]
+
+
+def chk_w_connections(pt):
+    n, alpha, l, lam = pt["n"], F(pt["alpha"]), pt["l"], F(pt["lambda"])
+    pairs = []
+    if lam != -1:
+        pairs.append((
+            "euler-connection",
+            fam.general_geometric(n, alpha)(-lam / (lam + 1)),
+            fam.apostol_euler_mantissa(n, alpha, lam),
+        ))
+    if lam != 1:
+        pairs.append((
+            "bernoulli-connection",
+            fam.general_geometric(n, l)(-lam / (lam - 1)),
+            (lam - 1) ** l / factorial(l) / comb(n + l, l) * fam.apostol_bernoulli_higher(n + l, l, lam),
+        ))
+    if alpha == 1 and l == 1:
+        pairs.append(("euler-value", fam.geometric_poly(n)(F(-1, 2)), fam.euler_classical(n)))
+    if not pairs:
+        raise SkipDomain("no connection defined at this parameter point")
+    return pairs
+
+
+def chk_poly_shift_prop(pt):
+    n, m, l, alpha, lam = pt["n"], pt["m"], pt["l"], F(pt["alpha"]), F(pt["lambda"])
+    _need_euler_domain(lam)
+    b = fam.euler_prefactor_base(lam)
+    lhs_e = fam.apostol_euler_mantissa(n + m, alpha, lam)
+    rhs_e = F(0)
+    for k in range(m + 1):
+        s = stirling2(m, k)
+        if s:
+            rhs_e += (
+                s
+                * gen_binomial_by_product(alpha + k - 1, k)
+                * (-lam / 2) ** k
+                * factorial(k)
+                * b**k
+                * fam.apostol_euler_poly_mantissa(n, alpha + k, F(k), lam)
+            )
+    lhs_b = _bern(n + m + l, l, lam) / comb(n + m + l, l)
+    rhs_b = F(0)
+    for k in range(m + 1):
+        s = stirling2(m, k)
+        if s:
+            rhs_b += s * l * (-lam) ** k / ((l + k) * comb(n + l + k, n)) * _bern_poly(n + l + k, k + l, F(k), lam)
+    return [("euler-shift", lhs_e, rhs_e), ("bernoulli-shift", lhs_b, rhs_b)]
+
+
+def chk_poly_shift_theorem(pt):
+    n, m, l, alpha, lam = pt["n"], pt["m"], pt["l"], F(pt["alpha"]), F(pt["lambda"])
+    _need_euler_domain(lam)
+    if lam == 0:
+        raise SkipDomain("lambda=0: reciprocal parameter undefined")
+    b = fam.euler_prefactor_base(lam)
+    pairs = []
+    lhs_e = b**m * fam.apostol_euler_poly_mantissa(n, alpha + m, F(m), lam)
+    rhs_e = (F(2) / lam) ** m / factorial(m) / gen_binomial_by_product(alpha + m - 1, m) * sum(
+        (F(-1) ** k * stirling1_unsigned(m, k) * fam.apostol_euler_mantissa(n + k, alpha, lam) for k in range(m + 1)),
+        F(0),
+    )
+    pairs.append(("euler-shift", lhs_e, rhs_e))
+    if lam == 1:
+        refl = F(-1) ** n * fam.apostol_euler_poly_mantissa(n, alpha + m, alpha, F(1))
+        pairs.append(("euler-reflection", fam.apostol_euler_poly_mantissa(n, alpha + m, F(m), F(1)), refl))
+    elif alpha.denominator == 1:
+        order_a = int(alpha) + m
+        plain = b**order_a * fam.apostol_euler_poly_mantissa(n, F(order_a), F(m), lam)
+        b_inv = fam.euler_prefactor_base(1 / lam)
+        refl = (F(-1) ** n * lam ** (-order_a) * b_inv**order_a
+                * fam.apostol_euler_poly_mantissa(n, F(order_a), alpha, 1 / lam))
+        pairs.append(("euler-reflection", plain, refl))
+    lhs_b = _bern_poly(n + m + l, m + l, F(m), lam)
+    rhs_b = F(l + m) / (l * lam**m) * comb(n + m + l, n) * sum(
+        (F(-1) ** k * stirling1_unsigned(m, k) / comb(n + l + k, l) * _bern(n + l + k, l, lam) for k in range(m + 1)),
+        F(0),
+    )
+    pairs.append(("bernoulli-shift", lhs_b, rhs_b))
+    refl_b = F(-1) ** (n + m + l) * lam ** (-(m + l)) * _bern_poly(n + m + l, m + l, F(l), 1 / lam)
+    pairs.append(("bernoulli-reflection", lhs_b, refl_b))
+    return pairs
+
+
+def chk_finite_sums(pt):
+    m, l, alpha, lam = pt["m"], pt["l"], F(pt["alpha"]), F(pt["lambda"])
+    _need_euler_domain(lam)
+    pairs = []
+    lhs_e = sum(
+        (F(-1) ** k * stirling1_unsigned(m, k) * fam.apostol_euler_mantissa(k, alpha, lam) for k in range(m + 1)),
+        F(0),
+    )
+    rhs_e = lam**m * factorial(m) / (lam + 1) ** m * gen_binomial_by_product(alpha + m - 1, m)
+    pairs.append(("euler-sum", lhs_e, rhs_e))
+    if lam != 1:
+        lhs_b = sum(
+            (F(-1) ** k * stirling1_unsigned(m, k) / comb(l + k, l) * fam.apostol_bernoulli_higher(l + k, l, lam)
+             for k in range(m + 1)),
+            F(0),
+        )
+        rhs_b = l * lam**m * factorial(m + l - 1) / (lam - 1) ** (m + l)
+        pairs.append(("bernoulli-sum", lhs_b, rhs_b))
+    return pairs
+
+
+OLD_CHECKERS = {
+    "w-general-recurrence": chk_w_general_recurrence,
+    "apostol-euler-recurrence": chk_apostol_euler_recurrence,
+    "w-connections": chk_w_connections,
+    "poly-shift-prop": chk_poly_shift_prop,
+    "poly-shift-theorem": chk_poly_shift_theorem,
+    "finite-sums": chk_finite_sums,
+}
