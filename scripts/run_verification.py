@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run the full identity verification at desk scale and print a rollup.
 
-Usage: python scripts/run_verification.py [--jobs N] [--order N]
+Usage: python scripts/run_verification.py [--order N]
 """
 
 import argparse
@@ -17,13 +17,12 @@ from polyfam.identities import GridConfig, run_all  # noqa: E402
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--order", type=int, default=12)
     args = parser.parse_args()
 
     grid = GridConfig(order=args.order)
     started = time.perf_counter()
-    summary, reports, _ = run_all(grid, jobs=args.jobs)
+    summary, reports, _ = run_all(grid)
     elapsed = time.perf_counter() - started
 
     by_id = Counter()
@@ -44,7 +43,7 @@ def main() -> int:
         flag = "FAIL" if bad else "ok"
         print(f"{identity_id:<{width}}  {total:6d} points  {bad:4d} fail  {skip:4d} skipped  {flag}")
     print(f"\ntotal: pass={summary.passed} fail={summary.failed} skipped={summary.skipped} "
-          f"in {elapsed:.1f}s (jobs={args.jobs})")
+          f"in {elapsed:.1f}s")
     return 1 if summary.failed else 0
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import islice
 
 from . import families as fam
-from .identities import REGISTRY, GridConfig, UnknownIdentityError, run_all
+from .identities import REGISTRY, GridConfig, run_all
 from .poly import Poly
 from .rationals import DomainError, parse_rational, rational_str
 from .series import Series
@@ -65,7 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run identity checks over a grid")
     common(v)
-    v.add_argument("--jobs", type=int, default=1)
+    v.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility; points always run sequentially, so its value changes nothing")
     v.add_argument("--all", action="store_true", help="run every registered identity")
     v.add_argument("--id", action="append", default=None, help="identity id (repeatable)")
     v.add_argument("--list", action="store_true", help="list identity ids and exit")
@@ -217,21 +218,14 @@ def _param_obj(**kwargs) -> dict:
     return out
 
 
+_GRID_INTS = ("nmax", "mmax", "nm_sum", "gf_mmax", "order")
+
+
 def _grid_from_args(args) -> GridConfig:
     grid = GridConfig()
-    updates = {}
-    if args.nmax is not None:
-        updates["nmax"] = args.nmax
-    if args.mmax is not None:
-        updates["mmax"] = args.mmax
-    if args.nm_sum is not None:
-        updates["nm_sum"] = args.nm_sum
-    elif args.nmax is not None or args.mmax is not None:
-        nmax = args.nmax if args.nmax is not None else grid.nmax
-        mmax = args.mmax if args.mmax is not None else grid.mmax
-        updates["nm_sum"] = nmax + mmax
-    if args.gf_mmax is not None:
-        updates["gf_mmax"] = args.gf_mmax
+    updates = {key: getattr(args, key) for key in _GRID_INTS if getattr(args, key) is not None}
+    if args.nm_sum is None and (args.nmax is not None or args.mmax is not None):
+        updates["nm_sum"] = updates.get("nmax", grid.nmax) + updates.get("mmax", grid.mmax)
     if args.l is not None:
         updates["ls"] = tuple(_int_list(args.l))
     if args.alpha is not None:
@@ -242,11 +236,7 @@ def _grid_from_args(args) -> GridConfig:
         updates["lambdas"] = tuple(_rational_list(args.lam))
     if args.x is not None:
         updates["xs"] = tuple(_rational_list(args.x))
-    if args.order is not None:
-        updates["order"] = args.order
-    if args.lambda_certify:
-        updates["certify"] = True
-    return replace(grid, **updates)
+    return replace(grid, certify=args.lambda_certify, **updates)
 
 
 def cmd_verify(args) -> int:
@@ -264,12 +254,7 @@ def cmd_verify(args) -> int:
         if unknown:
             raise UsageError(f"unknown identity id: {', '.join(unknown)}")
     grid = _grid_from_args(args)
-    try:
-        summary, reports, bounds = run_all(
-            grid, ids, perturb=args.perturb, timing=args.timing, jobs=args.jobs
-        )
-    except UnknownIdentityError as exc:  # defensive; ids were validated above
-        raise UsageError(f"unknown identity id: {exc}") from None
+    summary, reports, bounds = run_all(grid, ids, perturb=args.perturb, timing=args.timing)
     if args.format == "json":
         payload = {
             "summary": summary.to_dict(),

@@ -5,16 +5,15 @@ Every identity is a pure checker mapping one grid point to a list of
 equal.  Points whose parameters fall outside an identity's domain are
 reported ``skipped-domain`` with the reason, never silently passed.
 
-The runner evaluates grid points independently (optionally across threads)
-and always merges reports in canonical order (identity id, then the
-lexicographic grid-point key), so output is byte-identical at any job count.
+The runner evaluates grid points one after another and merges reports in
+canonical order (identity id, then the lexicographic grid-point key), so
+its output is deterministic.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -818,23 +817,15 @@ def identity_grid_for(identity: Identity, grid: GridConfig) -> tuple[GridConfig,
 
 
 def run_identity(identity_id: str, grid: GridConfig | None = None, *,
-                 perturb: bool = False, timing: bool = False,
-                 jobs: int = 1) -> list[IdentityReport]:
-    return run_all(grid, [identity_id], perturb=perturb, timing=timing, jobs=jobs)[1]
-
-
-def _run_points(identity, points, grid, perturb, timing, jobs) -> list[IdentityReport]:
-    if jobs <= 1 or len(points) <= 1:
-        return [_evaluate_point(identity, pt, grid, perturb, timing) for pt in points]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(lambda pt: _evaluate_point(identity, pt, grid, perturb, timing), points))
+                 perturb: bool = False, timing: bool = False) -> list[IdentityReport]:
+    return run_all(grid, [identity_id], perturb=perturb, timing=timing)[1]
 
 
 def run_all(grid: GridConfig | None = None, ids: list[str] | None = None, *,
-            perturb: bool = False, timing: bool = False,
-            jobs: int = 1) -> tuple[Summary, list[IdentityReport], dict[str, int]]:
+            perturb: bool = False,
+            timing: bool = False) -> tuple[Summary, list[IdentityReport], dict[str, int]]:
     grid = grid or GridConfig()
-    selected = sorted(REGISTRY) if ids is None else sorted(ids)
+    selected = sorted(REGISTRY) if ids is None else sorted(set(ids))
     bounds: dict[str, int] = {}
     reports: list[IdentityReport] = []
     for identity_id in selected:
@@ -842,8 +833,8 @@ def run_all(grid: GridConfig | None = None, ids: list[str] | None = None, *,
         pt_grid, bound = identity_grid_for(identity, grid)
         if bound is not None:
             bounds[identity_id] = bound
-        points = grid_points(identity.slots, pt_grid)
-        reports.extend(_run_points(identity, points, pt_grid, perturb, timing, jobs))
+        reports.extend(_evaluate_point(identity, pt, pt_grid, perturb, timing)
+                       for pt in grid_points(identity.slots, pt_grid))
     reports.sort(key=IdentityReport.sort_key)
     summary = Summary(
         passed=sum(r.status == "pass" for r in reports),

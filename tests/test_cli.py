@@ -176,6 +176,22 @@ def test_verify_json_roundtrip_and_jobs_determinism(capsys):
     assert json.dumps(json.loads(out1), indent=2) + "\n" == out1
 
 
+def test_verify_repeated_id_runs_once(capsys):
+    args = ("verify", "--nmax", "1", "--mmax", "1")
+    code, once, _ = run_cli(capsys, *args, "--id", "spivey")
+    assert code == 0
+    code, twice, _ = run_cli(capsys, *args, "--id", "spivey", "--id", "spivey")
+    assert code == 0 and twice == once
+    assert len(once.splitlines()) == 4 + 1 and "pass=4 fail=0" in once
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_verify_rejects_jobs_below_one(capsys, jobs):
+    code, out, err = run_cli(capsys, "verify", "--all", "--jobs", jobs)
+    assert code == 2 and out == ""
+    assert "--jobs must be >= 1" in err
+
+
 def test_verify_list(capsys):
     code, out, _ = run_cli(capsys, "verify", "--list")
     assert code == 0
