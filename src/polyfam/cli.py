@@ -158,6 +158,16 @@ def _value_strings(value) -> tuple[str, object]:
     return rational_str(value), rational_str(value)
 
 
+def _real(value):
+    """value, unless it is a formal power of a negative base at a fractional
+    exponent, (2/(lam+1))^alpha at lam < -1 and non-integer alpha: that is
+    not a real number, so it is refused rather than printed as one."""
+    if isinstance(value, fam.ScaledRational) and value.base < 0:
+        raise DomainError(f"no real value: (2/(lambda+1))^alpha leaves the factor ({rational_str(value.base)})"
+                          f"^({rational_str(value.exponent)}); lambda < -1 needs an integer alpha")
+    return value
+
+
 def _emit_csv(rows: list[list[str]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -188,7 +198,7 @@ def cmd_table(args) -> int:
     lam = parse_rational(args.lam) if args.lam is not None else None
     try:
         values = [
-            fam.family_value(args.family, n, alpha=alpha, l=args.l, lam=lam)
+            _real(fam.family_value(args.family, n, alpha=alpha, l=args.l, lam=lam))
             for n in range(args.n + 1)
         ]
     except DomainError as exc:
@@ -250,7 +260,7 @@ def cmd_verify(args) -> int:
         raise UsageError("--jobs must be >= 1")
     ids = None if args.all else args.id
     if ids is not None:
-        unknown = [i for i in ids if i not in REGISTRY]
+        unknown = [i for i in dict.fromkeys(ids) if i not in REGISTRY]
         if unknown:
             raise UsageError(f"unknown identity id: {', '.join(unknown)}")
     grid = _grid_from_args(args)
@@ -296,6 +306,7 @@ def _build_series(args) -> tuple[Series, dict, str | None]:
     lam = parse_rational(args.lam) if args.lam is not None else None
     try:
         series, prefactor = fam.series_value(args.gf, args.order, x=x, alpha=alpha, l=args.l, lam=lam)
+        _real(prefactor)
     except DomainError as exc:
         raise UsageError(str(exc)) from None
     prefactor = None if prefactor is None else str(prefactor)

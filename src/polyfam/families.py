@@ -9,7 +9,14 @@ Order-``a`` Euler-type values for non-integer rational ``a`` carry the shared
 irrational prefactor ``(2/(lam+1))^a``; such values are represented as a
 :class:`ScaledRational` (mantissa times a formal rational power of a rational
 base), and all identity checks on them compare mantissas after normalizing to
-a common exponent.
+a common exponent.  For lam < -1 that base is negative, so the value at a
+non-integer order is not real; it stays a formal ScaledRational here, and the
+CLI refuses to print it.
+
+The closed-sum kernels are cached in private bodies keyed by the integers of
+``as_integer_ratio()`` (alpha = a/b, lam = p/q, x0 = u/v); each value is one
+integer over a denominator its docstring states, and the ``_*_num`` bodies
+return that integer for the checkers' integer sums.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import floor
+from math import floor, lcm
 from typing import Callable
 
 from .poly import Poly
@@ -27,6 +34,12 @@ from .series import Series, binomial_power, expm1_over_t
 from .stirling import _FIRST, _SECOND, stirling2
 
 Rat = Fraction
+
+
+def _ratio(x) -> tuple[int, int]:
+    """(numerator, denominator) of a rational argument in lowest terms; an
+    int or a Fraction is read as it is, anything else through Fraction()."""
+    return (x if isinstance(x, (int, Fraction)) else Fraction(x)).as_integer_ratio()
 
 
 # ---------------------------------------------------------------------------
@@ -178,14 +191,28 @@ def bernoulli_classical(n: int) -> Rat:
     return bernoulli_higher(n, 1)
 
 
-@lru_cache(maxsize=None)
 def bernoulli_higher_poly(n: int, l: int, x0: Rat) -> Rat:
-    """B_n^{(l)}(x0) = sum_k C(n,k) B_k^{(l)} x0^{n-k}."""
-    x0 = Fraction(x0)
-    return sum(
-        (binomial(n, k) * bernoulli_higher(k, l) * x0 ** (n - k) for k in range(n + 1)),
-        Fraction(0),
-    )
+    """B_n^{(l)}(x0) = sum_k C(n,k) B_k^{(l)} x0^{n-k}; for x0 = u/v one
+    integer over L v^n, L the lcm of the denominators of B_0..B_n of order l."""
+    return _bernoulli_poly(n, l, *_ratio(x0))
+
+
+@lru_cache(maxsize=None)
+def _bernoulli_poly(n: int, l: int, u: int, v: int) -> Rat:
+    den, nums = _bernoulli_row(n, l)
+    acc, vk = 0, 1  # Horner in u; vk = v^k
+    for k in range(n + 1):
+        acc = acc * u + binomial(n, k) * nums[k] * vk
+        vk *= v
+    return Fraction(acc, den * v**n)
+
+
+@lru_cache(maxsize=None)
+def _bernoulli_row(n: int, l: int) -> tuple[int, tuple[int, ...]]:
+    """B_0^{(l)}..B_n^{(l)} as numerators over L, the lcm of their denominators."""
+    row = [bernoulli_higher(k, l) for k in range(n + 1)]
+    den = lcm(*(b.denominator for b in row))
+    return den, tuple(b.numerator * (den // b.denominator) for b in row)
 
 
 def bernoulli_higher_poly_in_x(n: int, l: int) -> Poly:
@@ -207,34 +234,62 @@ def bernoulli_second_kind(n: int) -> Rat:
 # Apostol-Bernoulli numbers/polynomials of higher order (lam != 1)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def apostol_bernoulli_higher(n: int, l: int, lam: Rat) -> Rat:
     """Closed-sum route; zero for n < l, matching the t-adic valuation of the
     generating series (t/(lam e^t - 1))^l for lam != 1: l! C(n,l) sum_k {n-l,k}
-    l(l+1)...(l+k-1) (-lam)^k/(lam-1)^(l+k), one integer over (p-q)^n for lam = p/q."""
-    lam = Fraction(lam)
-    if lam == 1:
+    l(l+1)...(l+k-1) (-lam)^k/(lam-1)^(l+k), one integer over (p-q)^n for
+    lam = p/q (_apostol_bernoulli_num)."""
+    p, q = _ratio(lam)
+    _check_apostol_bernoulli_domain(l, p, q)
+    return _apostol_bernoulli(n, l, p, q)
+
+
+def _check_apostol_bernoulli_domain(l: int, p: int, q: int) -> None:
+    if p == q:
         raise DomainError("lambda=1 not in domain; use bernoulli-higher")
     if l < 1:
         raise DomainError("order l must be a positive integer")
+
+
+@lru_cache(maxsize=None)
+def _apostol_bernoulli(n: int, l: int, p: int, q: int) -> Rat:
+    return Fraction(_apostol_bernoulli_num(n, l, p, q), (p - q) ** n)
+
+
+@lru_cache(maxsize=None)
+def _apostol_bernoulli_num(n: int, l: int, p: int, q: int) -> int:
+    """The numerator of the order-l Apostol-Bernoulli number at lam = p/q over (p-q)^n."""
     if n < l:
-        return Fraction(0)
-    p, q = lam.as_integer_ratio()
+        return 0
     d, acc, rising, power = p - q, 0, 1, 1  # Horner in d; rising = l(l+1)..., power = (-p)^k
     for k in range(n - l + 1):
         acc = acc * d + stirling2(n - l, k) * rising * power
         rising *= l + k
         power *= -p
-    return Fraction(factorial(l) * binomial(n, l) * q**l * acc, d**n)
+    return factorial(l) * binomial(n, l) * q**l * acc
+
+
+def apostol_bernoulli_poly(n: int, l: int, x0: Rat, lam: Rat) -> Rat:
+    """sum_k C(n,k) B_k^{(l)}(lam) x0^(n-k), one integer over ((p-q) v)^n for
+    x0 = u/v (_apostol_bernoulli_poly_num)."""
+    (p, q), (u, v) = _ratio(lam), _ratio(x0)
+    _check_apostol_bernoulli_domain(l, p, q)
+    return _apostol_bernoulli_poly(n, l, p, q, u, v)
 
 
 @lru_cache(maxsize=None)
-def apostol_bernoulli_poly(n: int, l: int, x0: Rat, lam: Rat) -> Rat:
-    x0 = Fraction(x0)
-    return sum(
-        (binomial(n, k) * apostol_bernoulli_higher(k, l, lam) * x0 ** (n - k) for k in range(n + 1)),
-        Fraction(0),
-    )
+def _apostol_bernoulli_poly(n: int, l: int, p: int, q: int, u: int, v: int) -> Rat:
+    return Fraction(_apostol_bernoulli_poly_num(n, l, p, q, u, v), ((p - q) * v) ** n)
+
+
+def _apostol_bernoulli_poly_num(n: int, l: int, p: int, q: int, u: int, v: int) -> int:
+    """Not cached: _apostol_bernoulli_poly caches each value, and the checker
+    sums that read these numerators are cached themselves."""
+    du, acc, vk = (p - q) * u, 0, 1  # Horner in du; vk = v^k
+    for k in range(n + 1):
+        acc = acc * du + binomial(n, k) * _apostol_bernoulli_num(k, l, p, q) * vk
+        vk *= v
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -244,33 +299,62 @@ def apostol_bernoulli_poly(n: int, l: int, x0: Rat, lam: Rat) -> Rat:
 # mantissa functions are the workhorses, the public ones wrap in scaled().
 
 def euler_prefactor_base(lam: Rat) -> Rat:
-    return Fraction(2) / (Fraction(lam) + 1)
+    p, q = _ratio(lam)
+    return Fraction(2 * q, p + q)
 
 
-@lru_cache(maxsize=None)
+def _check_euler_pole(p: int, q: int) -> None:
+    if p == -q:
+        raise DomainError("lambda=-1 is a pole of the Euler-type families")
+
+
 def apostol_euler_mantissa(n: int, alpha: Rat, lam: Rat) -> Rat:
     """M with E_n^{(a)}(lam) = (2/(lam+1))^a M; the closed Stirling sum
     M = sum_k {n,k} a(a+1)...(a+k-1) (-lam/(lam+1))^k, taken in integers: with
-    a = a/b and lam = p/q each term is an integer over (b(p+q))^k."""
-    lam, alpha = Fraction(lam), Fraction(alpha)
-    if lam == -1:
-        raise DomainError("lambda=-1 is a pole of the Euler-type families")
-    (a, b), (p, q) = alpha.as_integer_ratio(), lam.as_integer_ratio()
+    a = a/b and lam = p/q each term is an integer over (b(p+q))^k, and M one
+    integer over d^n, d = b(p+q) (_euler_num)."""
+    (a, b), (p, q) = _ratio(alpha), _ratio(lam)
+    _check_euler_pole(p, q)
+    return _euler_mantissa(n, a, b, p, q)
+
+
+@lru_cache(maxsize=None)
+def _euler_mantissa(n: int, a: int, b: int, p: int, q: int) -> Rat:
+    return Fraction(_euler_num(n, a, b, p, q), (b * (p + q)) ** n)
+
+
+@lru_cache(maxsize=None)
+def _euler_num(n: int, a: int, b: int, p: int, q: int) -> int:
+    """The numerator of M_n at alpha = a/b, lam = p/q over (b(p+q))^n."""
     d, acc, rising, power = b * (p + q), 0, 1, 1  # Horner in d; rising = prod(a+ib), power = (-p)^k
     for k in range(n + 1):
         acc = acc * d + stirling2(n, k) * rising * power
         rising *= a + k * b
         power *= -p
-    return Fraction(acc, d**n)
+    return acc
+
+
+def apostol_euler_poly_mantissa(n: int, alpha: Rat, x0: Rat, lam: Rat) -> Rat:
+    """sum_k C(n,k) M_k x0^(n-k), one integer over (d v)^n for x0 = u/v
+    (_euler_poly_num)."""
+    (a, b), (p, q), (u, v) = _ratio(alpha), _ratio(lam), _ratio(x0)
+    _check_euler_pole(p, q)
+    return _euler_poly_mantissa(n, a, b, p, q, u, v)
 
 
 @lru_cache(maxsize=None)
-def apostol_euler_poly_mantissa(n: int, alpha: Rat, x0: Rat, lam: Rat) -> Rat:
-    x0 = Fraction(x0)
-    return sum(
-        (binomial(n, k) * apostol_euler_mantissa(k, alpha, lam) * x0 ** (n - k) for k in range(n + 1)),
-        Fraction(0),
-    )
+def _euler_poly_mantissa(n: int, a: int, b: int, p: int, q: int, u: int, v: int) -> Rat:
+    return Fraction(_euler_poly_num(n, a, b, p, q, u, v), (b * (p + q) * v) ** n)
+
+
+def _euler_poly_num(n: int, a: int, b: int, p: int, q: int, u: int, v: int) -> int:
+    """Not cached: _euler_poly_mantissa caches each value, and the checker
+    sums that read these numerators are cached themselves."""
+    du, acc, vk = b * (p + q) * u, 0, 1  # Horner in du; vk = v^k
+    for k in range(n + 1):
+        acc = acc * du + binomial(n, k) * _euler_num(k, a, b, p, q) * vk
+        vk *= v
+    return acc
 
 
 def apostol_euler_higher(n: int, alpha: Rat, lam: Rat):
@@ -284,7 +368,7 @@ def apostol_euler_poly(n: int, alpha: Rat, x0: Rat, lam: Rat):
 
 def euler_higher(n: int, alpha: Rat) -> Rat:
     """E_n of order a at lam=1, plainly rational for every rational a > 0."""
-    return apostol_euler_mantissa(n, alpha, Fraction(1))
+    return apostol_euler_mantissa(n, alpha, 1)
 
 
 # ---------------------------------------------------------------------------

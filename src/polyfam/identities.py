@@ -8,6 +8,11 @@ reported ``skipped-domain`` with the reason, never silently passed.
 The runner evaluates grid points one after another and merges reports in
 canonical order (identity id, then the lexicographic grid-point key), so
 its output is deterministic.
+
+Sums over family values run in integers and build one Fraction at the end:
+with alpha = a/b and lam = p/q, an Euler-side sum is one integer over a power
+of d = b(p+q), a Bernoulli-side sum one integer over the lcm of its terms'
+denominators (_sum_over_lcm).
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import lcm
 from typing import Callable
 
 from . import families as fam
@@ -27,6 +33,12 @@ from .series import Series, binomial_power
 from .stirling import stirling1_unsigned, stirling2
 
 F = Fraction
+
+
+def _rat(v) -> Fraction:
+    """A grid value as a Fraction; one that is a Fraction already is not copied."""
+    return v if type(v) is Fraction else F(v)
+
 
 Pair = tuple[str, object, object]
 
@@ -179,8 +191,33 @@ def _bern(n: int, l: int, lam: Fraction) -> Fraction:
 
 def _bern_poly(n: int, l: int, x0: Fraction, lam: Fraction) -> Fraction:
     if lam == 1:
-        return fam.bernoulli_higher_poly(n, l, F(x0))
-    return fam.apostol_bernoulli_poly(n, l, F(x0), lam)
+        return fam.bernoulli_higher_poly(n, l, x0)
+    return fam.apostol_bernoulli_poly(n, l, x0, lam)
+
+
+def _bern_pair(n: int, l: int, lam: Fraction) -> tuple[int, int]:
+    """_bern as (numerator, denominator): over (p-q)^n for lam = p/q != 1."""
+    if lam == 1:
+        return fam.bernoulli_higher(n, l).as_integer_ratio()
+    p, q = lam.as_integer_ratio()
+    return fam._apostol_bernoulli_num(n, l, p, q), (p - q) ** n
+
+
+def _bern_poly_pair(n: int, l: int, k: int, lam: Fraction) -> tuple[int, int]:
+    """_bern_poly at the integer point k as (numerator, denominator)."""
+    if lam == 1:
+        return fam.bernoulli_higher_poly(n, l, k).as_integer_ratio()
+    p, q = lam.as_integer_ratio()
+    return fam._apostol_bernoulli_poly_num(n, l, p, q, k, 1), (p - q) ** n
+
+
+def _sum_over_lcm(terms) -> Fraction:
+    """The sum of num/den over (num, den) integer pairs as one integer over the
+    lcm of the dens, made a Fraction once: a single gcd for the whole sum
+    (Henrici's rule; Knuth, TAOCP Vol. 2, 4.5.1)."""
+    terms = [(num, den) for num, den in terms if num]
+    den = lcm(*(d for _, d in terms))
+    return F(sum(num * (den // d) for num, d in terms), den)
 
 
 def _need_euler_domain(lam: Fraction) -> None:
@@ -235,7 +272,7 @@ def _chk_spivey(pt, grid) -> list[Pair]:
 
 
 def _chk_gf_phi_shift(pt, grid) -> list[Pair]:
-    m, x = pt["m"], F(pt["x"])
+    m, x = pt["m"], _rat(pt["x"])
     order = grid.order
     lhs = _euler_series_lhs(lambda n: fam.exponential_poly(n + m)(x), order)
     rhs = fam.gf_exp_bell(x, order) * fam.exponential_poly(m).eval_series(Series.exp_t(1, order) * x)
@@ -243,14 +280,14 @@ def _chk_gf_phi_shift(pt, grid) -> list[Pair]:
 
 
 def _chk_gf_phi_base(pt, grid) -> list[Pair]:
-    x = F(pt["x"])
+    x = _rat(pt["x"])
     order = grid.order
     lhs = _euler_series_lhs(lambda n: fam.exponential_poly(n)(x), order)
     return [("", lhs, fam.gf_exp_bell(x, order))]
 
 
 def _chk_gf_w_shift(pt, grid) -> list[Pair]:
-    m, alpha, x = pt["m"], F(pt["alpha"]), F(pt["x"])
+    m, alpha, x = pt["m"], _rat(pt["alpha"]), _rat(pt["x"])
     order = grid.order
     g = Series.one(order) - (Series.exp_t(1, order) - 1) * x
     arg = (Series.exp_t(1, order) * x) * g.inverse()
@@ -260,14 +297,14 @@ def _chk_gf_w_shift(pt, grid) -> list[Pair]:
 
 
 def _chk_gf_w_base(pt, grid) -> list[Pair]:
-    alpha, x = F(pt["alpha"]), F(pt["x"])
+    alpha, x = _rat(pt["alpha"]), _rat(pt["x"])
     order = grid.order
     lhs = _euler_series_lhs(lambda n: fam.general_geometric(n, alpha)(x), order)
     return [("", lhs, fam.gf_general_geometric(x, alpha, order))]
 
 
 def _chk_gf_apostol_euler_shift(pt, grid) -> list[Pair]:
-    m, alpha, lam = pt["m"], F(pt["alpha"]), F(pt["lambda"])
+    m, alpha, lam = pt["m"], _rat(pt["alpha"]), _rat(pt["lambda"])
     _need_euler_domain(lam)
     order = grid.order
     inv = (Series.exp_t(1, order) * lam + 1).inverse()
@@ -279,7 +316,7 @@ def _chk_gf_apostol_euler_shift(pt, grid) -> list[Pair]:
 
 
 def _chk_gf_apostol_bernoulli_shift(pt, grid) -> list[Pair]:
-    m, l, lam = pt["m"], pt["l"], F(pt["lambda"])
+    m, l, lam = pt["m"], pt["l"], _rat(pt["lambda"])
     order = grid.order
     if lam != 1:
         inv = (Series.exp_t(1, order) * lam - 1).inverse()
@@ -315,7 +352,7 @@ def _chk_gf_apostol_bernoulli_shift(pt, grid) -> list[Pair]:
 
 
 def _chk_w_general_recurrence(pt, grid) -> list[Pair]:
-    n, m, alpha = pt["n"], pt["m"], F(pt["alpha"])
+    n, m, alpha = pt["n"], pt["m"], _rat(pt["alpha"])
     lhs = fam.general_geometric(n + m, alpha)
     coeffs = [F(0)] * (n + m + 1)
     rising = F(1)  # alpha(alpha+1)...(alpha+k-1), carried across k
@@ -362,47 +399,42 @@ def _chk_fubini_explicit(pt, grid) -> list[Pair]:
 
 def _euler_shift_sum(n: int, m: int, alpha: Fraction, lam: Fraction, inner) -> Fraction:
     """sum_k {m,k} a(a+1)...(a+k-1) (-lam/(lam+1))^k V_k for Euler-side values
-    V_k = inner(k, d^n)/d^n: with a = a/b and lam = p/q every mantissa M_j and
-    polynomial mantissa at an integer point has a denominator dividing d^j,
-    d = b(p+q), so the sum is one integer over d^(n+m) (Horner in d)."""
+    V_k of order a + k.  With a = a/b and lam = p/q, gcd(a+kb, b) = 1 leaves
+    d = b(p+q) unchanged for a + k, so every mantissa M_j and polynomial
+    mantissa at an integer point is an integer over d^j; inner(k, key, d)
+    returns V_k's over d^n, reading the integer kernels at key = (a+kb, b, p, q),
+    and the sum is one integer over d^(n+m) (Horner in d)."""
     (a, b), (p, q) = alpha.as_integer_ratio(), lam.as_integer_ratio()
     d, acc, rising, power = b * (p + q), 0, 1, 1  # rising = prod(a+ib), power = (-p)^k
-    dn = d**n
     for k in range(m + 1):
         s = stirling2(m, k)
-        acc = acc * d + (s * rising * power * inner(k, dn) if s else 0)
+        acc = acc * d + (s * rising * power * inner(k, (a + k * b, b, p, q), d) if s else 0)
         rising *= a + k * b
         power *= -p
-    return F(acc, dn * d**m)
-
-
-def _over(v: Fraction, dn: int) -> int:
-    """The numerator of v over the common denominator dn, which v's divides."""
-    return v.numerator * (dn // v.denominator)
+    return F(acc, d ** (n + m))
 
 
 def _euler_stirling1_sum(lo: int, m: int, alpha: Fraction, lam: Fraction) -> Fraction:
     """sum_k (-1)^k [m,k] M_{lo+k}, one integer over d^(lo+m) as in _euler_shift_sum."""
-    (_, b), (p, q) = alpha.as_integer_ratio(), lam.as_integer_ratio()
-    dn = (b * (p + q)) ** (lo + m)
-    terms = ((-1) ** k * stirling1_unsigned(m, k) * _over(fam.apostol_euler_mantissa(lo + k, alpha, lam), dn)
+    (a, b), (p, q) = alpha.as_integer_ratio(), lam.as_integer_ratio()
+    d = b * (p + q)
+    terms = ((-1) ** k * stirling1_unsigned(m, k) * fam._euler_num(lo + k, a, b, p, q) * d ** (m - k)
              for k in range(m + 1))
-    return F(sum(terms), dn)
+    return F(sum(terms), d ** (lo + m))
 
 
 def _chk_apostol_euler_recurrence(pt, grid) -> list[Pair]:
-    n, m, alpha, lam = pt["n"], pt["m"], F(pt["alpha"]), F(pt["lambda"])
+    n, m, alpha, lam = pt["n"], pt["m"], _rat(pt["alpha"]), _rat(pt["lambda"])
     _need_euler_domain(lam)
     lhs = fam.apostol_euler_mantissa(n + m, alpha, lam)
-    rhs = _euler_shift_sum(n, m, alpha, lam, lambda k, dn: sum(
-        binomial(n, j) * k ** (n - j) * _over(fam.apostol_euler_mantissa(j, alpha + k, lam), dn)
-        for j in range(n + 1)
+    rhs = _euler_shift_sum(n, m, alpha, lam, lambda k, key, d: sum(
+        binomial(n, j) * (k * d) ** (n - j) * fam._euler_num(j, *key) for j in range(n + 1)
     ))
     return [("", lhs, rhs)]
 
 
 def _chk_apostol_euler_explicit(pt, grid) -> list[Pair]:
-    m, alpha, lam = pt["m"], F(pt["alpha"]), F(pt["lambda"])
+    m, alpha, lam = pt["m"], _rat(pt["alpha"]), _rat(pt["lambda"])
     _need_euler_domain(lam)
     order = max(grid.order, m)
     lhs = fam.apostol_euler_mantissa(m, alpha, lam)
@@ -416,38 +448,29 @@ def _chk_apostol_euler_explicit(pt, grid) -> list[Pair]:
 
 
 def _chk_apostol_bernoulli_recurrence(pt, grid) -> list[Pair]:
-    n, m, l, lam = pt["n"], pt["m"], pt["l"], F(pt["lambda"])
+    n, m, l, lam = pt["n"], pt["m"], pt["l"], _rat(pt["lambda"])
+    terms = []
     if lam != 1:
+        p, q = lam.as_integer_ratio()  # (-lam)^k = (-p)^k / q^k
         lhs = fam.apostol_bernoulli_higher(n + m + l, l, lam) / (binomial(n + m + l, l) * l)
-        rhs = F(0)
         for k in range(m + 1):
             s = stirling2(m, k)
             if not s:
                 continue
             for j in range(n + 1):
-                rhs += (
-                    s
-                    * binomial(n, j)
-                    * (-lam) ** k
-                    * F(k) ** (n - j)
-                    / ((l + k) * binomial(l + k + j, j))
-                    * fam.apostol_bernoulli_higher(l + k + j, l + k, lam)
-                )
-        return [("", lhs, rhs)]
+                num, den = _bern_pair(l + k + j, l + k, lam)
+                terms.append((s * binomial(n, j) * (-p) ** k * k ** (n - j) * num,
+                              q**k * (l + k) * binomial(l + k + j, j) * den))
+        return [("", lhs, _sum_over_lcm(terms))]
     # classical limit: the order-(l+k) factors must stay fused with their e^{kt}
     # shift, which turns the inner sum into polynomial values at x=k
     lhs = fam.bernoulli_higher(n + m + l, l) / (binomial(n + m + l, l) * l)
-    rhs = F(0)
     for k in range(m + 1):
         s = stirling2(m, k)
         if s:
-            rhs += (
-                s
-                * F(-1) ** k
-                / ((l + k) * binomial(n + l + k, n))
-                * fam.bernoulli_higher_poly(n + l + k, k + l, k)
-            )
-    return [("classical-limit", lhs, rhs)]
+            num, den = _bern_poly_pair(n + l + k, k + l, k, lam)
+            terms.append(((-1) ** k * s * num, (l + k) * binomial(n + l + k, n) * den))
+    return [("classical-limit", lhs, _sum_over_lcm(terms))]
 
 
 def _chk_bernoulli_higher_recurrence(pt, grid) -> list[Pair]:
@@ -470,20 +493,22 @@ def _chk_bernoulli_higher_recurrence(pt, grid) -> list[Pair]:
 
 
 def _chk_apostol_bernoulli_diag_recurrence(pt, grid) -> list[Pair]:
-    m, l, lam = pt["m"], pt["l"], F(pt["lambda"])
+    m, l, lam = pt["m"], pt["l"], _rat(pt["lambda"])
     _need_apostol_bernoulli_domain(lam)
     lhs = fam.apostol_bernoulli_higher(m + l, l, lam)
-    rhs = F(0)
+    p, q = lam.as_integer_ratio()  # (-lam)^k = (-p)^k / q^k
+    scale = l * binomial(m + l, l)
+    terms = []
     for k in range(m + 1):
         s = stirling2(m, k)
         if s:
-            rhs += s * (-lam) ** k / (l + k) * fam.apostol_bernoulli_higher(l + k, l + k, lam)
-    rhs *= l * binomial(m + l, l)
-    return [("", lhs, rhs)]
+            num, den = _bern_pair(l + k, l + k, lam)
+            terms.append((scale * s * (-p) ** k * num, q**k * (l + k) * den))
+    return [("", lhs, _sum_over_lcm(terms))]
 
 
 def _chk_apostol_bernoulli_explicit(pt, grid) -> list[Pair]:
-    n, l, lam = pt["n"], pt["l"], F(pt["lambda"])
+    n, l, lam = pt["n"], pt["l"], _rat(pt["lambda"])
     _need_apostol_bernoulli_domain(lam)
     order = max(grid.order, n)
     pairs: list[Pair] = [
@@ -497,7 +522,7 @@ def _chk_apostol_bernoulli_explicit(pt, grid) -> list[Pair]:
 
 
 def _chk_apostol_bernoulli_classical(pt, grid) -> list[Pair]:
-    n, lam = pt["n"], F(pt["lambda"])
+    n, lam = pt["n"], _rat(pt["lambda"])
     _need_apostol_bernoulli_domain(lam)
     value = fam.apostol_bernoulli_higher(n, 1, lam)
     if n == 0:
@@ -535,7 +560,7 @@ def _connection_bernoulli(n: int, l: int, lam: Fraction) -> tuple[Pair, ...]:
 
 
 def _chk_w_connections(pt, grid) -> list[Pair]:
-    n, alpha, l, lam = pt["n"], F(pt["alpha"]), pt["l"], F(pt["lambda"])
+    n, alpha, l, lam = pt["n"], _rat(pt["alpha"]), pt["l"], _rat(pt["lambda"])
     pairs: list[Pair] = [*_connection_euler(n, alpha, lam), *_connection_bernoulli(n, l, lam)]
     if alpha == 1 and l == 1:
         pairs.append(("euler-value", fam.geometric_poly(n)(F(-1, 2)), fam.euler_classical(n)))
@@ -546,8 +571,8 @@ def _chk_w_connections(pt, grid) -> list[Pair]:
 
 @lru_cache(maxsize=None)
 def _prop_euler(n: int, m: int, alpha: Fraction, lam: Fraction) -> tuple[Pair, ...]:
-    def inner(k, dn):
-        return _over(fam.apostol_euler_poly_mantissa(n, alpha + k, F(k), lam), dn)
+    def inner(k, key, d):  # the polynomial mantissa of order a + k at x0 = k, over d^n
+        return fam._euler_poly_num(n, *key, k, 1)
 
     return (("euler-shift", fam.apostol_euler_mantissa(n + m, alpha, lam), _euler_shift_sum(n, m, alpha, lam, inner)),)
 
@@ -555,16 +580,18 @@ def _prop_euler(n: int, m: int, alpha: Fraction, lam: Fraction) -> tuple[Pair, .
 @lru_cache(maxsize=None)
 def _prop_bernoulli(n: int, m: int, l: int, lam: Fraction) -> tuple[Pair, ...]:
     lhs = _bern(n + m + l, l, lam) / binomial(n + m + l, l)
-    rhs = F(0)
+    p, q = lam.as_integer_ratio()  # (-lam)^k = (-p)^k / q^k
+    terms = []
     for k in range(m + 1):
         s = stirling2(m, k)
         if s:
-            rhs += s * l * (-lam) ** k / ((l + k) * binomial(n + l + k, n)) * _bern_poly(n + l + k, k + l, F(k), lam)
-    return (("bernoulli-shift", lhs, rhs),)
+            num, den = _bern_poly_pair(n + l + k, k + l, k, lam)
+            terms.append((s * l * (-p) ** k * num, q**k * (l + k) * binomial(n + l + k, n) * den))
+    return (("bernoulli-shift", lhs, _sum_over_lcm(terms)),)
 
 
 def _chk_poly_shift_prop(pt, grid) -> list[Pair]:
-    n, m, l, alpha, lam = pt["n"], pt["m"], pt["l"], F(pt["alpha"]), F(pt["lambda"])
+    n, m, l, alpha, lam = pt["n"], pt["m"], pt["l"], _rat(pt["alpha"]), _rat(pt["lambda"])
     _need_euler_domain(lam)
     return [*_prop_euler(n, m, alpha, lam), *_prop_bernoulli(n, m, l, lam)]
 
@@ -594,16 +621,21 @@ def _theorem_euler(n: int, m: int, alpha: Fraction, lam: Fraction) -> tuple[Pair
 
 @lru_cache(maxsize=None)
 def _theorem_bernoulli(n: int, m: int, l: int, lam: Fraction) -> tuple[Pair, ...]:
-    lhs_b = _bern_poly(n + m + l, m + l, F(m), lam)
-    terms = (F(-1) ** k * stirling1_unsigned(m, k) / binomial(n + l + k, l) * _bern(n + l + k, l, lam)
-             for k in range(m + 1))
-    rhs_b = F(l + m) / (l * lam**m) * binomial(n + m + l, n) * sum(terms, F(0))
+    lhs_b = _bern_poly(n + m + l, m + l, m, lam)
+    # (l+m)/(l lam^m) C(n+m+l, n) = scale/(l p^m) for lam = p/q, summed over one lcm
+    p, q = lam.as_integer_ratio()
+    scale = (l + m) * q**m * binomial(n + m + l, n)
+    terms = []
+    for k in range(m + 1):
+        num, den = _bern_pair(n + l + k, l, lam)
+        terms.append(((-1) ** k * stirling1_unsigned(m, k) * scale * num, l * p**m * binomial(n + l + k, l) * den))
+    rhs_b = _sum_over_lcm(terms)
     refl_b = F(-1) ** (n + m + l) * lam ** (-(m + l)) * _bern_poly(n + m + l, m + l, F(l), 1 / lam)
     return (("bernoulli-shift", lhs_b, rhs_b), ("bernoulli-reflection", lhs_b, refl_b))
 
 
 def _chk_poly_shift_theorem(pt, grid) -> list[Pair]:
-    n, m, l, alpha, lam = pt["n"], pt["m"], pt["l"], F(pt["alpha"]), F(pt["lambda"])
+    n, m, l, alpha, lam = pt["n"], pt["m"], pt["l"], _rat(pt["alpha"]), _rat(pt["lambda"])
     _need_euler_domain(lam)
     if lam == 0:
         raise SkipDomain("lambda=0: reciprocal parameter undefined")
@@ -618,15 +650,20 @@ def _finite_sums_euler(m: int, alpha: Fraction, lam: Fraction) -> tuple[Pair, ..
 
 @lru_cache(maxsize=None)
 def _finite_sums_bernoulli(m: int, l: int, lam: Fraction) -> tuple[Pair, ...]:
+    """Both sides over powers of d = p - q: lam^m/(lam-1)^(m+l) = p^m q^l/d^(m+l)."""
     if lam == 1:
         return ()
-    terms = (F(-1) ** k * stirling1_unsigned(m, k) / binomial(l + k, l) * fam.apostol_bernoulli_higher(l + k, l, lam)
-             for k in range(m + 1))
-    return (("bernoulli-sum", sum(terms, F(0)), l * lam**m * factorial(m + l - 1) / (lam - 1) ** (m + l)),)
+    p, q = lam.as_integer_ratio()
+    terms = []
+    for k in range(m + 1):
+        num, den = _bern_pair(l + k, l, lam)
+        terms.append(((-1) ** k * stirling1_unsigned(m, k) * num, binomial(l + k, l) * den))
+    rhs = F(l * p**m * q**l * factorial(m + l - 1), (p - q) ** (m + l))
+    return (("bernoulli-sum", _sum_over_lcm(terms), rhs),)
 
 
 def _chk_finite_sums(pt, grid) -> list[Pair]:
-    m, l, alpha, lam = pt["m"], pt["l"], F(pt["alpha"]), F(pt["lambda"])
+    m, l, alpha, lam = pt["m"], pt["l"], _rat(pt["alpha"]), _rat(pt["lambda"])
     _need_euler_domain(lam)
     return [*_finite_sums_euler(m, alpha, lam), *_finite_sums_bernoulli(m, l, lam)]
 
@@ -657,7 +694,7 @@ def _chk_diag_bernoulli_values(pt, grid) -> list[Pair]:
 
 
 def _chk_aux_wang(pt, grid) -> list[Pair]:
-    n, alpha, lam, x = pt["n"], F(pt["alpha"]), F(pt["lambda"]), F(pt["x"])
+    n, alpha, lam, x = pt["n"], _rat(pt["alpha"]), _rat(pt["lambda"]), _rat(pt["x"])
     _need_euler_domain(lam)
     b = fam.euler_prefactor_base(lam)
     lhs = alpha * lam / 2 * b * fam.apostol_euler_poly_mantissa(n, alpha + 1, x + 1, lam)
@@ -666,14 +703,14 @@ def _chk_aux_wang(pt, grid) -> list[Pair]:
 
 
 def _chk_aux_srivastava_luo(pt, grid) -> list[Pair]:
-    n, alpha, lam, x = pt["n"], int(pt["alpha"]), F(pt["lambda"]), F(pt["x"])
+    n, alpha, lam, x = pt["n"], int(pt["alpha"]), _rat(pt["lambda"]), _rat(pt["x"])
     lhs = alpha * lam * _bern_poly(n, alpha + 1, x + 1, lam)
     rhs = (n * x * _bern_poly(n - 1, alpha, x, lam) if n else F(0)) + (alpha - n) * _bern_poly(n, alpha, x, lam)
     return [("", lhs, rhs)]
 
 
 def _chk_aux_euler_reflection(pt, grid) -> list[Pair]:
-    n, alpha, lam, x = pt["n"], F(pt["alpha"]), F(pt["lambda"]), F(pt["x"])
+    n, alpha, lam, x = pt["n"], _rat(pt["alpha"]), _rat(pt["lambda"]), _rat(pt["x"])
     _need_euler_domain(lam)
     if lam == 0:
         raise SkipDomain("lambda=0: reciprocal parameter undefined")

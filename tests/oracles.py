@@ -170,6 +170,30 @@ def apostol_bernoulli_higher_naive(n: int, l: int, lam: Fraction) -> Fraction:
     return factorial(l) * comb(n, l) * acc
 
 
+def apostol_euler_poly_mantissa_naive(n: int, alpha: Fraction, x0: Fraction, lam: Fraction) -> Fraction:
+    """sum_k C(n,k) M_k x0^(n-k) over the naive mantissas, term by term."""
+    return sum(
+        (comb(n, k) * apostol_euler_mantissa_naive(k, alpha, lam) * Fraction(x0) ** (n - k) for k in range(n + 1)),
+        Fraction(0),
+    )
+
+
+def apostol_bernoulli_poly_naive(n: int, l: int, x0: Fraction, lam: Fraction) -> Fraction:
+    """sum_k C(n,k) B_k^{(l)}(lam) x0^(n-k) over the naive numbers, term by term."""
+    return sum(
+        (comb(n, k) * apostol_bernoulli_higher_naive(k, l, lam) * Fraction(x0) ** (n - k) for k in range(n + 1)),
+        Fraction(0),
+    )
+
+
+def bernoulli_higher_poly_naive(n: int, l: int, x0: Fraction) -> Fraction:
+    """sum_k C(n,k) B_k^{(l)} x0^(n-k), term by term (B_k^{(l)} from the series route)."""
+    return sum(
+        (comb(n, k) * fam.bernoulli_higher(k, l) * Fraction(x0) ** (n - k) for k in range(n + 1)),
+        Fraction(0),
+    )
+
+
 def _powers_of(u: list[Fraction]):
     """u^0, u^1, ..., u^order of a coefficient list, truncated at its order."""
     order = len(u) - 1
@@ -248,6 +272,48 @@ def chk_apostol_euler_recurrence(pt):
         base = s * gen_binomial_by_product(alpha + k - 1, k) * (-lam) ** k * factorial(k) / 2**k * b**k
         for j in range(n + 1):
             rhs += base * comb(n, j) * F(k) ** (n - j) * fam.apostol_euler_mantissa(j, alpha + k, lam)
+    return [("", lhs, rhs)]
+
+
+def chk_apostol_bernoulli_recurrence(pt):
+    n, m, l, lam = pt["n"], pt["m"], pt["l"], F(pt["lambda"])
+    if lam != 1:
+        lhs = fam.apostol_bernoulli_higher(n + m + l, l, lam) / (comb(n + m + l, l) * l)
+        rhs = F(0)
+        for k in range(m + 1):
+            s = stirling2(m, k)
+            if not s:
+                continue
+            for j in range(n + 1):
+                rhs += (
+                    s
+                    * comb(n, j)
+                    * (-lam) ** k
+                    * F(k) ** (n - j)
+                    / ((l + k) * comb(l + k + j, j))
+                    * fam.apostol_bernoulli_higher(l + k + j, l + k, lam)
+                )
+        return [("", lhs, rhs)]
+    lhs = fam.bernoulli_higher(n + m + l, l) / (comb(n + m + l, l) * l)
+    rhs = F(0)
+    for k in range(m + 1):
+        s = stirling2(m, k)
+        if s:
+            rhs += s * F(-1) ** k / ((l + k) * comb(n + l + k, n)) * fam.bernoulli_higher_poly(n + l + k, k + l, F(k))
+    return [("classical-limit", lhs, rhs)]
+
+
+def chk_apostol_bernoulli_diag_recurrence(pt):
+    m, l, lam = pt["m"], pt["l"], F(pt["lambda"])
+    if lam == 1:
+        raise SkipDomain("lambda=1 not in domain; use bernoulli-higher")
+    lhs = fam.apostol_bernoulli_higher(m + l, l, lam)
+    rhs = F(0)
+    for k in range(m + 1):
+        s = stirling2(m, k)
+        if s:
+            rhs += s * (-lam) ** k / (l + k) * fam.apostol_bernoulli_higher(l + k, l + k, lam)
+    rhs *= l * comb(m + l, l)
     return [("", lhs, rhs)]
 
 
@@ -358,6 +424,17 @@ OLD_CHECKERS = {
     "w-general-recurrence": chk_w_general_recurrence,
     "apostol-euler-recurrence": chk_apostol_euler_recurrence,
     "w-connections": chk_w_connections,
+    "poly-shift-prop": chk_poly_shift_prop,
+    "poly-shift-theorem": chk_poly_shift_theorem,
+    "finite-sums": chk_finite_sums,
+}
+
+# the checkers whose sums run over the integer family rows: each Euler-side sum
+# reads integer numerators, each Bernoulli-side sum runs over one lcm
+OLD_ROW_CHECKERS = {
+    "apostol-euler-recurrence": chk_apostol_euler_recurrence,
+    "apostol-bernoulli-recurrence": chk_apostol_bernoulli_recurrence,
+    "apostol-bernoulli-diag-recurrence": chk_apostol_bernoulli_diag_recurrence,
     "poly-shift-prop": chk_poly_shift_prop,
     "poly-shift-theorem": chk_poly_shift_theorem,
     "finite-sums": chk_finite_sums,

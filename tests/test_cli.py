@@ -185,6 +185,34 @@ def test_verify_repeated_id_runs_once(capsys):
     assert len(once.splitlines()) == 4 + 1 and "pass=4 fail=0" in once
 
 
+def test_verify_names_a_repeated_unknown_id_once(capsys):
+    code, out, err = run_cli(capsys, "verify", "--id", "nope", "--id", "spivey", "--id", "zap", "--id", "nope")
+    assert code == 2 and out == ""
+    assert err == "error: unknown identity id: nope, zap\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("table", "--family", "apostol-euler-higher", "--n", "2"),
+    ("series", "--gf", "apostol-euler", "--order", "2"),
+])
+@pytest.mark.parametrize("alpha, lam", [("1/2", "-3"), ("5/2", "-5"), ("-3/2", "-7/5")])
+def test_fractional_order_below_lambda_minus_one_is_refused(capsys, argv, alpha, lam):
+    code, out, err = run_cli(capsys, *argv, "--alpha", alpha, "--lambda", lam)
+    assert code == 2 and out == ""
+    assert err.startswith("error: no real value: ") and "lambda < -1 needs an integer alpha" in err
+
+
+def test_integer_order_below_lambda_minus_one_prints_rationals(capsys):
+    code, out, _ = run_cli(capsys, "table", "--family", "apostol-euler-higher", "--alpha", "2",
+                           "--lambda", "-3", "--n", "2", "--format", "csv")
+    assert code == 0 and out.splitlines() == ["0,1", "1,-3", "2,21/2"]
+    code, out, _ = run_cli(capsys, "series", "--gf", "apostol-euler", "--alpha", "2",
+                           "--lambda", "-3", "--order", "2", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert "prefactor" not in payload and payload["egf"] == ["1", "-3", "21/2"]
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_verify_rejects_jobs_below_one(capsys, jobs):
     code, out, err = run_cli(capsys, "verify", "--all", "--jobs", jobs)
