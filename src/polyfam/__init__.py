@@ -2,15 +2,8 @@
 
 from .poly import Poly
 from .rationals import DomainError, Rational, binomial, factorial, gen_binomial, parse_rational, rational_str
-from .series import Series, binomial_power, log1p_series
-from .stirling import (
-    StirlingKind,
-    StirlingTable,
-    inverse_stirling_transform,
-    stirling1_unsigned,
-    stirling2,
-    stirling_transform,
-)
+from .series import Series, binomial_power
+from .stirling import StirlingKind, StirlingTable, stirling1_unsigned, stirling2
 from .families import (
     ScaledRational,
     apostol_bernoulli_higher,
@@ -36,9 +29,8 @@ from .identities import GridConfig, IdentityReport, REGISTRY, run_all, run_ident
 __all__ = [
     "DomainError", "Rational", "binomial", "factorial", "gen_binomial",
     "parse_rational", "rational_str",
-    "Poly", "Series", "binomial_power", "log1p_series",
+    "Poly", "Series", "binomial_power",
     "StirlingKind", "StirlingTable", "stirling2", "stirling1_unsigned",
-    "stirling_transform", "inverse_stirling_transform",
     "ScaledRational", "scaled", "exponential_poly", "bell", "complementary_bell",
     "geometric_poly", "fubini", "general_geometric", "euler_classical", "euler_higher",
     "bernoulli_classical", "bernoulli_higher", "bernoulli_higher_poly",

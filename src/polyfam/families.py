@@ -215,13 +215,6 @@ def _bernoulli_row(n: int, l: int) -> tuple[int, tuple[int, ...]]:
     return den, tuple(b.numerator * (den // b.denominator) for b in row)
 
 
-def bernoulli_higher_poly_in_x(n: int, l: int) -> Poly:
-    acc = Poly.zero()
-    for k in range(n + 1):
-        acc = acc + Poly.monomial(n - k, binomial(n, k) * bernoulli_higher(k, l))
-    return acc
-
-
 @lru_cache(maxsize=None)
 def bernoulli_second_kind(n: int) -> Rat:
     """c_n = [t^n] of t/log(1+t)."""
@@ -300,6 +293,7 @@ def _apostol_bernoulli_poly_num(n: int, l: int, p: int, q: int, u: int, v: int) 
 
 def euler_prefactor_base(lam: Rat) -> Rat:
     p, q = _ratio(lam)
+    _check_euler_pole(p, q)
     return Fraction(2 * q, p + q)
 
 

@@ -29,7 +29,7 @@ from typing import Callable
 from . import families as fam
 from .poly import Poly, poly_from_terms
 from .rationals import binomial, factorial, gen_binomial, rational_str
-from .series import Series, binomial_power
+from .series import Series, linear_combination
 from .stirling import stirling1_unsigned, stirling2
 
 F = Fraction
@@ -234,6 +234,55 @@ def _euler_series_lhs(values, order: int) -> Series:
     return Series([values(n) / factorial(n) for n in range(order + 1)], order)
 
 
+# series factors of the gf-*-shift identities, cached by exactly the parameters
+# they read; a polynomial is evaluated at a cached argument series as
+# sum_k c_k arg^k over the argument's cached powers, O(deg * order) a point.
+
+@lru_cache(maxsize=None)
+def _phi_argument(x: Fraction, order: int) -> Series:
+    """x e^t."""
+    return Series.exp_t(1, order) * x
+
+
+@lru_cache(maxsize=None)
+def _w_argument(x: Fraction, order: int) -> Series:
+    """x e^t / (1 - x(e^t - 1))."""
+    g = Series.one(order) - (Series.exp_t(1, order) - 1) * x
+    return _phi_argument(x, order) * g.inverse()
+
+
+@lru_cache(maxsize=None)
+def _apostol_inverse(lam: Fraction, s: int, order: int) -> Series:
+    """1/(lam e^t + s): s = 1 on the Euler side, s = -1 on the Bernoulli side."""
+    return (Series.exp_t(1, order) * lam + s).inverse()
+
+
+@lru_cache(maxsize=None)
+def _apostol_argument(lam: Fraction, s: int, order: int) -> Series:
+    """-lam e^t / (lam e^t + s)."""
+    return (Series.exp_t(1, order) * (-lam)) * _apostol_inverse(lam, s, order)
+
+
+@lru_cache(maxsize=None)
+def _bernoulli_shift_prefactor(l: int, lam: Fraction, order: int) -> Series:
+    """l! / (lam e^t - 1)^l."""
+    return _apostol_inverse(lam, -1, order) ** l * factorial(l)
+
+
+@lru_cache(maxsize=None)
+def _argument_power(argument: Callable[..., Series], key: tuple, k: int) -> Series:
+    """argument(*key)**k, one product from power k - 1, which _eval_at has cached before it."""
+    if k == 0:
+        return Series.one(argument(*key).order)
+    return _argument_power(argument, key, k - 1) * argument(*key)
+
+
+def _eval_at(poly: Poly, argument: Callable[..., Series], *key) -> Series:
+    """poly(argument(*key)); the table of powers grows to whatever degree is asked."""
+    powers = [_argument_power(argument, key, k) for k in range(len(poly.coeffs))]
+    return linear_combination(poly.coeffs, powers, argument(*key).order)
+
+
 # degree-bound helpers for lambda certification -------------------------------
 # Both sides of every lambda-bearing identity are rational functions of lambda
 # whose numerator and denominator degrees are bounded by the largest index
@@ -275,7 +324,7 @@ def _chk_gf_phi_shift(pt, grid) -> list[Pair]:
     m, x = pt["m"], _rat(pt["x"])
     order = grid.order
     lhs = _euler_series_lhs(lambda n: fam.exponential_poly(n + m)(x), order)
-    rhs = fam.gf_exp_bell(x, order) * fam.exponential_poly(m).eval_series(Series.exp_t(1, order) * x)
+    rhs = fam.gf_exp_bell(x, order) * _eval_at(fam.exponential_poly(m), _phi_argument, x, order)
     return [("", lhs, rhs)]
 
 
@@ -289,9 +338,9 @@ def _chk_gf_phi_base(pt, grid) -> list[Pair]:
 def _chk_gf_w_shift(pt, grid) -> list[Pair]:
     m, alpha, x = pt["m"], _rat(pt["alpha"]), _rat(pt["x"])
     order = grid.order
-    g = Series.one(order) - (Series.exp_t(1, order) - 1) * x
-    arg = (Series.exp_t(1, order) * x) * g.inverse()
-    rhs = binomial_power(g, -alpha) * fam.general_geometric(m, alpha).eval_series(arg)
+    # (1 - x(e^t - 1))^(-alpha) is the base series itself
+    rhs = fam.gf_general_geometric(x, alpha, order) * _eval_at(
+        fam.general_geometric(m, alpha), _w_argument, x, order)
     lhs = _euler_series_lhs(lambda n: fam.general_geometric(n + m, alpha)(x), order)
     return [("", lhs, rhs)]
 
@@ -307,10 +356,9 @@ def _chk_gf_apostol_euler_shift(pt, grid) -> list[Pair]:
     m, alpha, lam = pt["m"], _rat(pt["alpha"]), _rat(pt["lambda"])
     _need_euler_domain(lam)
     order = grid.order
-    inv = (Series.exp_t(1, order) * lam + 1).inverse()
-    pref = binomial_power(inv * (lam + 1), alpha)
-    argument = (Series.exp_t(1, order) * (-lam)) * inv
-    rhs = pref * fam.general_geometric(m, alpha).eval_series(argument)
+    # ((lam+1)/(lam e^t + 1))^alpha is the mantissa series itself
+    rhs = fam.gf_apostol_euler_mantissa(alpha, lam, order) * _eval_at(
+        fam.general_geometric(m, alpha), _apostol_argument, lam, 1, order)
     lhs = _euler_series_lhs(lambda n: fam.apostol_euler_mantissa(n + m, alpha, lam), order)
     return [("", lhs, rhs)]
 
@@ -319,9 +367,8 @@ def _chk_gf_apostol_bernoulli_shift(pt, grid) -> list[Pair]:
     m, l, lam = pt["m"], pt["l"], _rat(pt["lambda"])
     order = grid.order
     if lam != 1:
-        inv = (Series.exp_t(1, order) * lam - 1).inverse()
-        argument = (Series.exp_t(1, order) * (-lam)) * inv
-        rhs = (inv**l) * fam.general_geometric(m, l).eval_series(argument) * factorial(l)
+        rhs = _bernoulli_shift_prefactor(l, lam, order) * _eval_at(
+            fam.general_geometric(m, l), _apostol_argument, lam, -1, order)
         lhs = _euler_series_lhs(
             lambda n: _bern(n + m + l, l, lam) / binomial(n + m + l, l), order
         )

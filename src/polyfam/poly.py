@@ -111,15 +111,6 @@ class Poly:
             acc = acc * v + c
         return acc
 
-    def eval_series(self, s):
-        """Horner evaluation at a truncated power series (see series.Series)."""
-        from .series import Series
-
-        acc = Series.constant(0, s.order)
-        for c in reversed(self._c):
-            acc = acc * s + c
-        return acc
-
     def derivative(self) -> "Poly":
         return Poly([i * c for i, c in enumerate(self._c)][1:])
 

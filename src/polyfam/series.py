@@ -3,15 +3,21 @@
 Every series carries its truncation order explicitly: coefficients are exact
 through t^order and unknown beyond it.  Arithmetic between two series is only
 claimed up to the smaller of the two orders, so precision never inflates
-silently.  Multiplication is schoolbook convolution; the orders used here
-(a few dozen) make anything fancier pointless.
+silently.
+
+A product convolves integer numerators, each operand scaled to the lcm of its
+denominators, and builds one Fraction per output coefficient (Knuth, TAOCP
+Vol. 2, 4.7).  The inverse, exp and binomial_power recurrences stay per
+coefficient: each step divides by a new index, so one denominator for a whole
+series would grow with the order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
-from typing import Iterable
+from math import factorial, lcm
+from operator import mul
+from typing import Iterable, Sequence
 
 from .rationals import DomainError, rational_str
 
@@ -20,7 +26,7 @@ class Series:
     __slots__ = ("_order", "_c")
 
     def __init__(self, coeffs: Iterable[Fraction | int], order: int | None = None):
-        c = [Fraction(v) for v in coeffs]
+        c = [v if type(v) is Fraction else Fraction(v) for v in coeffs]
         if order is None:
             order = len(c) - 1
         if order < 0:
@@ -70,11 +76,6 @@ class Series:
         """n! * [t^n], the value the series encodes in exponential form."""
         return factorial(n) * self.coeff(n)
 
-    def truncate(self, order: int) -> "Series":
-        if order > self._order:
-            raise ValueError(f"cannot extend order {self._order} to {order}")
-        return Series(self._c[: order + 1], order)
-
     # -- ring operations ----------------------------------------------
     def _common(self, other: "Series") -> int:
         return min(self._order, other._order)
@@ -102,15 +103,10 @@ class Series:
         if isinstance(other, (int, Fraction)):
             return Series([c * other for c in self._c], self._order)
         n = self._common(other)
-        out = [Fraction(0)] * (n + 1)
-        for i in range(n + 1):
-            a = self._c[i]
-            if a:
-                for j in range(n + 1 - i):
-                    b = other._c[j]
-                    if b:
-                        out[i + j] += a * b
-        return Series(out, n)
+        da, a = _numerators(self._c[: n + 1])
+        db, b = _numerators(other._c[n::-1])  # reversed: b[n - j] is coefficient j
+        den = da * db
+        return Series([Fraction(sum(map(mul, a[: i + 1], b[n - i :])), den) for i in range(n + 1)], n)
 
     __rmul__ = __mul__
 
@@ -182,6 +178,21 @@ class Series:
         return f"Series(order={self._order}, {self})"
 
 
+def _numerators(coeffs: tuple[Fraction, ...]) -> tuple[int, list[int]]:
+    """The lcm L of the denominators, and each coefficient times L."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return den, [c.numerator * (den // c.denominator) for c in coeffs]
+
+
+def linear_combination(weights: Sequence[Fraction | int], terms: Sequence[Series], n: int) -> Series:
+    """sum_k w_k s_k truncated at order n <= every s_k's order: one integer
+    sum per coefficient over the lcm of every w_k s_k denominator."""
+    parts = [(w.as_integer_ratio(), _numerators(s.coeffs[: n + 1])) for w, s in zip(weights, terms) if w]
+    den = lcm(*(wd * d for (_, wd), (d, _) in parts))
+    scaled = [(wn * (den // (wd * d)), nums) for (wn, wd), (d, nums) in parts]
+    return Series([Fraction(sum(w * nums[i] for w, nums in scaled), den) for i in range(n + 1)], n)
+
+
 def binomial_power(a: Series, r: Fraction | int) -> Series:
     """(1 + u)^r for a = 1 + u with any rational exponent r.
 
@@ -202,13 +213,6 @@ def binomial_power(a: Series, r: Fraction | int) -> Series:
         terms = ((k * (p + q) - i * q) * c[k] * out[i - k] for k in range(1, i + 1) if c[k])
         out.append(sum(terms, Fraction(0)) / (i * q))
     return Series(out, n)
-
-
-def log1p_series(order: int) -> Series:
-    """log(1 + t) = t - t^2/2 + t^3/3 - ... truncated."""
-    if order < 1:
-        raise ValueError("log(1+t) needs order >= 1")
-    return Series([Fraction(0)] + [Fraction((-1) ** (k + 1), k) for k in range(1, order + 1)], order)
 
 
 def expm1_over_t(order: int) -> Series:

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import threading
 from enum import Enum
-from fractions import Fraction
-from typing import Sequence
 
 
 class StirlingKind(Enum):
@@ -76,29 +74,3 @@ def stirling2(n: int, k: int) -> int:
 def stirling1_unsigned(n: int, k: int) -> int:
     """[n, k]: permutations of n elements with exactly k cycles."""
     return _FIRST.value(n, k)
-
-
-def stirling1_signed(n: int, k: int) -> int:
-    """s(n, k) = (-1)^(n-k) [n, k]."""
-    return (-1) ** (n - k) * _FIRST.value(n, k)
-
-
-def stirling_transform(a: Sequence[Fraction | int]) -> list[Fraction]:
-    """b_n = sum_k {n, k} a_k, termwise over the input's index range."""
-    seq = [Fraction(v) for v in a]
-    return [
-        sum((Fraction(stirling2(n, k)) * seq[k] for k in range(n + 1)), Fraction(0))
-        for n in range(len(seq))
-    ]
-
-
-def inverse_stirling_transform(b: Sequence[Fraction | int]) -> list[Fraction]:
-    """a_n = sum_k (-1)^(n-k) [n, k] b_k; inverse of :func:`stirling_transform`."""
-    seq = [Fraction(v) for v in b]
-    return [
-        sum(
-            (Fraction(stirling1_signed(n, k)) * seq[k] for k in range(n + 1)),
-            Fraction(0),
-        )
-        for n in range(len(seq))
-    ]

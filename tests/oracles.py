@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive (enumeration, defining recurrences,
 polynomial integration) and independent of the package's computation paths,
-except the old checker bodies at the end, which read the package's families.
+except the library helpers that only the tests use (transforms, truncation,
+Horner evaluation at a series) and the old checker bodies at the end, which
+read the package's families.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from math import comb, factorial
 from polyfam import families as fam
 from polyfam.identities import SkipDomain
 from polyfam.poly import Poly
+from polyfam.series import Series
 from polyfam.stirling import stirling1_unsigned, stirling2
 
 
@@ -121,6 +124,55 @@ def convolve_coeffs(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
+
+
+# -- library helpers that only the tests use ---------------------------------
+
+def stirling1_signed(n: int, k: int) -> int:
+    """s(n, k) = (-1)^(n-k) [n, k]."""
+    return (-1) ** (n - k) * stirling1_unsigned(n, k)
+
+
+def stirling_transform(a) -> list[Fraction]:
+    """b_n = sum_k {n, k} a_k, termwise over the input's index range."""
+    seq = [Fraction(v) for v in a]
+    return [sum((stirling2(n, k) * seq[k] for k in range(n + 1)), Fraction(0)) for n in range(len(seq))]
+
+
+def inverse_stirling_transform(b) -> list[Fraction]:
+    """a_n = sum_k (-1)^(n-k) [n, k] b_k; inverse of stirling_transform."""
+    seq = [Fraction(v) for v in b]
+    return [sum((stirling1_signed(n, k) * seq[k] for k in range(n + 1)), Fraction(0)) for n in range(len(seq))]
+
+
+def bernoulli_higher_poly_in_x(n: int, l: int) -> Poly:
+    """B_n^{(l)}(x) = sum_k C(n,k) B_k^{(l)} x^(n-k) as a polynomial."""
+    acc = Poly.zero()
+    for k in range(n + 1):
+        acc = acc + Poly.monomial(n - k, comb(n, k) * fam.bernoulli_higher(k, l))
+    return acc
+
+
+def truncate(s: Series, order: int) -> Series:
+    """s with its coefficients beyond t^order dropped."""
+    if order > s.order:
+        raise ValueError(f"cannot extend order {s.order} to {order}")
+    return Series(s.coeffs[: order + 1], order)
+
+
+def log1p_series(order: int) -> Series:
+    """log(1 + t) = t - t^2/2 + t^3/3 - ... truncated."""
+    if order < 1:
+        raise ValueError("log(1+t) needs order >= 1")
+    return Series([Fraction(0)] + [Fraction((-1) ** (k + 1), k) for k in range(1, order + 1)], order)
+
+
+def eval_series_horner(p: Poly, s: Series) -> Series:
+    """Horner evaluation of p at a truncated power series: deg p series products."""
+    acc = Series.constant(0, s.order)
+    for c in reversed(p.coeffs):
+        acc = acc * s + c
+    return acc
 
 
 # -- naive Fraction kernels: the O(n^2) closed sums and O(n^3) series powers --

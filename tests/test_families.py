@@ -15,6 +15,7 @@ from .oracles import (
     bell_by_enumeration,
     bernoulli_by_recurrence,
     bernoulli_higher_by_convolution,
+    bernoulli_higher_poly_in_x,
     euler_zero_values,
     fubini_by_enumeration,
     gregory_by_integration,
@@ -128,7 +129,7 @@ def test_bernoulli_higher_poly_values():
     assert fam.bernoulli_higher_poly(1, 1, 1) == F(1, 2)
     # x-polynomial form evaluates consistently
     for n in range(6):
-        p = fam.bernoulli_higher_poly_in_x(n, 3)
+        p = bernoulli_higher_poly_in_x(n, 3)
         for x0 in (F(0), F(1), F(-2, 3)):
             assert p(x0) == fam.bernoulli_higher_poly(n, 3, x0)
 
@@ -223,6 +224,12 @@ def test_apostol_euler_rejects_pole():
         fam.apostol_euler_mantissa(2, F(1), F(-1))
     with pytest.raises(DomainError):
         fam.gf_apostol_euler(1, F(-1), 6)
+
+
+@pytest.mark.parametrize("lam", [F(-1), -1])
+def test_euler_prefactor_base_rejects_pole(lam):
+    with pytest.raises(DomainError, match="lambda=-1 is a pole of the Euler-type families"):
+        fam.euler_prefactor_base(lam)
 
 
 def test_apostol_euler_scaled_values():

@@ -255,7 +255,7 @@ def test_inverse_transform_shift_lands_on_polynomial_values():
 def test_transform_machinery_links_the_two_diagonal_recurrences():
     # the diagonal recurrence and its inverse form are one transform pair over
     # rational sequences, exercised here through the transform functions
-    from polyfam.stirling import inverse_stirling_transform, stirling_transform
+    from .oracles import inverse_stirling_transform, stirling_transform
 
     for l in (1, 2, 3):
         upper = 7

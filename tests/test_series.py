@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyfam.rationals import DomainError, binomial, gen_binomial
-from polyfam.series import Series, binomial_power, expm1_over_t, log1p_series
+from polyfam.series import Series, binomial_power, expm1_over_t
 
-from .oracles import bell_by_enumeration
+from .oracles import bell_by_enumeration, log1p_series, truncate
 
 coeff = st.fractions(min_value=-100, max_value=100, max_denominator=20)
 
@@ -39,9 +39,9 @@ def test_coeff_bounds_are_enforced():
     s = Series([1, 2], 4)
     with pytest.raises(IndexError):
         s.coeff(5)
-    assert s.truncate(1).coeffs == (F(1), F(2))
+    assert truncate(s, 1).coeffs == (F(1), F(2))
     with pytest.raises(ValueError):
-        s.truncate(9)
+        truncate(s, 9)
 
 
 def test_inverse_examples():
@@ -79,7 +79,7 @@ def test_exp_of_expm1_gives_bell_numbers():
 @given(series_st(order=7, zero_constant=True))
 def test_exp_derivative_identity(u):
     e = u.exp()
-    assert e.derivative() == (u.derivative() * e).truncate(6)
+    assert e.derivative() == truncate(u.derivative() * e, 6)
 
 
 @given(series_st(order=6, zero_constant=True), series_st(order=6, zero_constant=True))

@@ -5,16 +5,15 @@ from math import factorial
 from hypothesis import given
 from hypothesis import strategies as st
 
-from polyfam.stirling import (
-    StirlingKind,
-    StirlingTable,
+from polyfam.stirling import StirlingKind, StirlingTable, stirling1_unsigned, stirling2
+
+from .oracles import (
+    bell_by_enumeration,
     inverse_stirling_transform,
-    stirling1_unsigned,
-    stirling2,
+    stirling1_row_by_enumeration,
+    stirling2_row_by_enumeration,
     stirling_transform,
 )
-
-from .oracles import bell_by_enumeration, stirling1_row_by_enumeration, stirling2_row_by_enumeration
 
 rational_seqs = st.lists(
     st.fractions(min_value=-10**4, max_value=10**4, max_denominator=100), min_size=1, max_size=16
