@@ -3,7 +3,7 @@
 from .poly import Poly
 from .rationals import DomainError, Rational, binomial, factorial, gen_binomial, parse_rational, rational_str
 from .series import Series, binomial_power
-from .stirling import StirlingKind, StirlingTable, stirling1_unsigned, stirling2
+from .stirling import StirlingTable, stirling1_unsigned, stirling2
 from .families import (
     ScaledRational,
     apostol_bernoulli_higher,
@@ -30,7 +30,7 @@ __all__ = [
     "DomainError", "Rational", "binomial", "factorial", "gen_binomial",
     "parse_rational", "rational_str",
     "Poly", "Series", "binomial_power",
-    "StirlingKind", "StirlingTable", "stirling2", "stirling1_unsigned",
+    "StirlingTable", "stirling2", "stirling1_unsigned",
     "ScaledRational", "scaled", "exponential_poly", "bell", "complementary_bell",
     "geometric_poly", "fubini", "general_geometric", "euler_classical", "euler_higher",
     "bernoulli_classical", "bernoulli_higher", "bernoulli_higher_poly",

@@ -234,6 +234,9 @@ _GRID_INTS = ("nmax", "mmax", "nm_sum", "gf_mmax", "order")
 def _grid_from_args(args) -> GridConfig:
     grid = GridConfig()
     updates = {key: getattr(args, key) for key in _GRID_INTS if getattr(args, key) is not None}
+    for key, value in updates.items():
+        if value < 0:
+            raise UsageError(f"--{key.replace('_', '-')} must be >= 0")
     if args.nm_sum is None and (args.nmax is not None or args.mmax is not None):
         updates["nm_sum"] = updates.get("nmax", grid.nmax) + updates.get("mmax", grid.mmax)
     if args.l is not None:

@@ -6,12 +6,13 @@ the two can be cross-checked; the series builders here are also what the CLI
 ``series`` subcommand prints.
 
 Order-``a`` Euler-type values for non-integer rational ``a`` carry the shared
-irrational prefactor ``(2/(lam+1))^a``; such values are represented as a
-:class:`ScaledRational` (mantissa times a formal rational power of a rational
-base), and all identity checks on them compare mantissas after normalizing to
-a common exponent.  For lam < -1 that base is negative, so the value at a
-non-integer order is not real; it stays a formal ScaledRational here, and the
-CLI refuses to print it.
+irrational prefactor ``(2/(lam+1))^a``.  The public values ``apostol_euler_higher``
+and ``apostol_euler_poly`` and the CLI's tables and series return such a value as
+a :class:`ScaledRational` (mantissa times a formal rational power of a rational
+base), which is only printed; no catalog check produces one, since every
+identity check compares the rational mantissas.  For lam < -1 that base is
+negative, so the value at a non-integer order is not real; it stays a formal
+ScaledRational here, and the CLI refuses to print it.
 
 The closed-sum kernels are cached in private bodies keyed by the integers of
 ``as_integer_ratio()`` (alpha = a/b, lam = p/q, x0 = u/v); each value is one
@@ -89,23 +90,6 @@ class ScaledRational:
     mantissa: Rat
     base: Rat
     exponent: Rat
-
-    def __mul__(self, other: Rat | int) -> "ScaledRational | Rat":
-        if isinstance(other, ScaledRational):
-            if other.base != self.base:
-                raise DomainError("cannot multiply scaled values over different bases")
-            return scaled(self.mantissa * other.mantissa, self.base, self.exponent + other.exponent)
-        return scaled(self.mantissa * Fraction(other), self.base, self.exponent)
-
-    __rmul__ = __mul__
-
-    def __add__(self, other: "ScaledRational") -> "ScaledRational | Rat":
-        if not isinstance(other, ScaledRational) or (self.base, self.exponent) != (other.base, other.exponent):
-            raise DomainError("can only add scaled values with matching base and exponent")
-        return scaled(self.mantissa + other.mantissa, self.base, self.exponent)
-
-    def __neg__(self) -> "ScaledRational":
-        return ScaledRational(-self.mantissa, self.base, self.exponent)
 
     def __str__(self) -> str:
         return f"{rational_str(self.mantissa)}*({rational_str(self.base)})^({rational_str(self.exponent)})"

@@ -470,6 +470,43 @@ def _euler_stirling1_sum(lo: int, m: int, alpha: Fraction, lam: Fraction) -> Fra
     return F(sum(terms), d ** (lo + m))
 
 
+def _bernoulli_shift_sum(n: int, m: int, l: int, lam: Fraction) -> Fraction:
+    """sum_k {m,k} (-lam)^k B_{n+l+k}^{(l+k)}(k; lam) / ((l+k) C(n+l+k, n)), one
+    integer over the lcm of its terms; (-lam)^k = (-p)^k / q^k for lam = p/q."""
+    p, q = lam.as_integer_ratio()
+    terms = []
+    for k in range(m + 1):
+        s = stirling2(m, k)
+        if s:
+            num, den = _bern_poly_pair(n + l + k, l + k, k, lam)
+            terms.append((s * (-p) ** k * num, q**k * (l + k) * binomial(n + l + k, n) * den))
+    return _sum_over_lcm(terms)
+
+
+def _bernoulli_stirling1_sum(n: int, m: int, l: int, lam: Fraction) -> Fraction:
+    """sum_k (-1)^k [m,k] B_{n+l+k}^{(l)}(lam) / C(n+l+k, l), one integer over the lcm of its terms."""
+    terms = []
+    for k in range(m + 1):
+        num, den = _bern_pair(n + l + k, l, lam)
+        terms.append(((-1) ** k * stirling1_unsigned(m, k) * num, binomial(n + l + k, l) * den))
+    return _sum_over_lcm(terms)
+
+
+def _euler_reflection(n: int, a: Fraction, x: Fraction, lam: Fraction) -> tuple[Fraction, Fraction] | None:
+    """E_n^{(a)}(a - x; lam) against (-1)^n lam^(-a) E_n^{(a)}(x; 1/lam): in mantissas at
+    lam = 1, as plain values for integer a, and None for non-integer a at lam != 1."""
+    if lam == 1:
+        return (fam.apostol_euler_poly_mantissa(n, a, a - x, lam),
+                (-1) ** n * fam.apostol_euler_poly_mantissa(n, a, x, lam))
+    if a.denominator != 1:
+        return None
+    e = int(a)
+    lhs = fam.euler_prefactor_base(lam) ** e * fam.apostol_euler_poly_mantissa(n, a, a - x, lam)
+    rhs = ((-1) ** n * lam ** (-e) * fam.euler_prefactor_base(1 / lam) ** e
+           * fam.apostol_euler_poly_mantissa(n, a, x, 1 / lam))
+    return lhs, rhs
+
+
 def _chk_apostol_euler_recurrence(pt, grid) -> list[Pair]:
     n, m, alpha, lam = pt["n"], pt["m"], _rat(pt["alpha"]), _rat(pt["lambda"])
     _need_euler_domain(lam)
@@ -496,10 +533,10 @@ def _chk_apostol_euler_explicit(pt, grid) -> list[Pair]:
 
 def _chk_apostol_bernoulli_recurrence(pt, grid) -> list[Pair]:
     n, m, l, lam = pt["n"], pt["m"], pt["l"], _rat(pt["lambda"])
-    terms = []
     if lam != 1:
         p, q = lam.as_integer_ratio()  # (-lam)^k = (-p)^k / q^k
         lhs = fam.apostol_bernoulli_higher(n + m + l, l, lam) / (binomial(n + m + l, l) * l)
+        terms = []
         for k in range(m + 1):
             s = stirling2(m, k)
             if not s:
@@ -512,31 +549,20 @@ def _chk_apostol_bernoulli_recurrence(pt, grid) -> list[Pair]:
     # classical limit: the order-(l+k) factors must stay fused with their e^{kt}
     # shift, which turns the inner sum into polynomial values at x=k
     lhs = fam.bernoulli_higher(n + m + l, l) / (binomial(n + m + l, l) * l)
-    for k in range(m + 1):
-        s = stirling2(m, k)
-        if s:
-            num, den = _bern_poly_pair(n + l + k, k + l, k, lam)
-            terms.append(((-1) ** k * s * num, (l + k) * binomial(n + l + k, n) * den))
-    return [("classical-limit", lhs, _sum_over_lcm(terms))]
+    return [("classical-limit", lhs, _bernoulli_shift_sum(n, m, l, lam))]
+
+
+def _shifted_diagonal(m: int, l: int) -> tuple[Fraction, Fraction]:
+    """B_{m+l}^{(m+l)}(m) against its inverse transform (l+m)/l sum_k (-1)^k [m,k] B_{k+l}^{(l)} / C(k+l, l)."""
+    return (fam.bernoulli_higher_poly(m + l, m + l, m),
+            F(l + m, l) * _bernoulli_stirling1_sum(0, m, l, F(1)))
 
 
 def _chk_bernoulli_higher_recurrence(pt, grid) -> list[Pair]:
     m, l = pt["m"], pt["l"]
-    lhs1 = fam.bernoulli_higher(m + l, l)
-    rhs1 = F(0)
-    for k in range(m + 1):
-        s = stirling2(m, k)
-        if s:
-            rhs1 += s * F(-1) ** k / (l + k) * fam.bernoulli_higher_poly(l + k, l + k, k)
-    rhs1 *= l * binomial(m + l, l)
-    lhs2 = fam.bernoulli_higher_poly(m + l, m + l, m)
-    rhs2 = F(0)
-    for k in range(m + 1):
-        s = stirling1_unsigned(m, k)
-        if s:
-            rhs2 += F(-1) ** k * s / binomial(k + l, l) * fam.bernoulli_higher(k + l, l)
-    rhs2 *= F(l + m, l)
-    return [("diagonal-sum", lhs1, rhs1), ("inverse-transform", lhs2, rhs2)]
+    rhs = l * binomial(m + l, l) * _bernoulli_shift_sum(0, m, l, F(1))
+    return [("diagonal-sum", fam.bernoulli_higher(m + l, l), rhs),
+            ("inverse-transform", *_shifted_diagonal(m, l))]
 
 
 def _chk_apostol_bernoulli_diag_recurrence(pt, grid) -> list[Pair]:
@@ -585,7 +611,10 @@ def _chk_apostol_bernoulli_classical(pt, grid) -> list[Pair]:
 # The four identities below cross grid axes that one half of their check never
 # reads (alpha on the Bernoulli side, l on the Euler side), so each half is
 # cached, keyed by exactly the parameters it reads; checkers copy the pairs
-# into a fresh list, which --perturb may then edit.
+# into a fresh list, which --perturb may then edit.  The halves share their sums
+# with the checkers above: _euler_shift_sum and _euler_stirling1_sum on the Euler
+# side, _bernoulli_shift_sum and _bernoulli_stirling1_sum on the Bernoulli side,
+# and _euler_reflection with aux-euler-reflection.
 
 @lru_cache(maxsize=None)
 def _connection_euler(n: int, alpha: Fraction, lam: Fraction) -> tuple[Pair, ...]:
@@ -627,14 +656,7 @@ def _prop_euler(n: int, m: int, alpha: Fraction, lam: Fraction) -> tuple[Pair, .
 @lru_cache(maxsize=None)
 def _prop_bernoulli(n: int, m: int, l: int, lam: Fraction) -> tuple[Pair, ...]:
     lhs = _bern(n + m + l, l, lam) / binomial(n + m + l, l)
-    p, q = lam.as_integer_ratio()  # (-lam)^k = (-p)^k / q^k
-    terms = []
-    for k in range(m + 1):
-        s = stirling2(m, k)
-        if s:
-            num, den = _bern_poly_pair(n + l + k, k + l, k, lam)
-            terms.append((s * l * (-p) ** k * num, q**k * (l + k) * binomial(n + l + k, n) * den))
-    return (("bernoulli-shift", lhs, _sum_over_lcm(terms)),)
+    return (("bernoulli-shift", lhs, l * _bernoulli_shift_sum(n, m, l, lam)),)
 
 
 def _chk_poly_shift_prop(pt, grid) -> list[Pair]:
@@ -645,38 +667,16 @@ def _chk_poly_shift_prop(pt, grid) -> list[Pair]:
 
 @lru_cache(maxsize=None)
 def _theorem_euler(n: int, m: int, alpha: Fraction, lam: Fraction) -> tuple[Pair, ...]:
-    b = fam.euler_prefactor_base(lam)
-    lhs_e = b**m * fam.apostol_euler_poly_mantissa(n, alpha + m, F(m), lam)
+    lhs_e = fam.euler_prefactor_base(lam) ** m * fam.apostol_euler_poly_mantissa(n, alpha + m, F(m), lam)
     rhs_e = (F(2) / lam) ** m / factorial(m) / gen_binomial(alpha + m - 1, m) * _euler_stirling1_sum(n, m, alpha, lam)
-    pairs: list[Pair] = [("euler-shift", lhs_e, rhs_e)]
-    if lam == 1:
-        refl = F(-1) ** n * fam.apostol_euler_poly_mantissa(n, alpha + m, alpha, F(1))
-        pairs.append(("euler-reflection", fam.apostol_euler_poly_mantissa(n, alpha + m, F(m), F(1)), refl))
-    elif alpha.denominator == 1:
-        order_a = int(alpha) + m
-        plain = b**order_a * fam.apostol_euler_poly_mantissa(n, F(order_a), F(m), lam)
-        b_inv = fam.euler_prefactor_base(1 / lam)
-        refl = (
-            F(-1) ** n
-            * lam ** (-order_a)
-            * b_inv**order_a
-            * fam.apostol_euler_poly_mantissa(n, F(order_a), alpha, 1 / lam)
-        )
-        pairs.append(("euler-reflection", plain, refl))
-    return tuple(pairs)
+    refl = _euler_reflection(n, alpha + m, alpha, lam)
+    return (("euler-shift", lhs_e, rhs_e),) + ((("euler-reflection", *refl),) if refl else ())
 
 
 @lru_cache(maxsize=None)
 def _theorem_bernoulli(n: int, m: int, l: int, lam: Fraction) -> tuple[Pair, ...]:
     lhs_b = _bern_poly(n + m + l, m + l, m, lam)
-    # (l+m)/(l lam^m) C(n+m+l, n) = scale/(l p^m) for lam = p/q, summed over one lcm
-    p, q = lam.as_integer_ratio()
-    scale = (l + m) * q**m * binomial(n + m + l, n)
-    terms = []
-    for k in range(m + 1):
-        num, den = _bern_pair(n + l + k, l, lam)
-        terms.append(((-1) ** k * stirling1_unsigned(m, k) * scale * num, l * p**m * binomial(n + l + k, l) * den))
-    rhs_b = _sum_over_lcm(terms)
+    rhs_b = F(l + m, l) / lam**m * binomial(n + m + l, n) * _bernoulli_stirling1_sum(n, m, l, lam)
     refl_b = F(-1) ** (n + m + l) * lam ** (-(m + l)) * _bern_poly(n + m + l, m + l, F(l), 1 / lam)
     return (("bernoulli-shift", lhs_b, rhs_b), ("bernoulli-reflection", lhs_b, refl_b))
 
@@ -697,16 +697,12 @@ def _finite_sums_euler(m: int, alpha: Fraction, lam: Fraction) -> tuple[Pair, ..
 
 @lru_cache(maxsize=None)
 def _finite_sums_bernoulli(m: int, l: int, lam: Fraction) -> tuple[Pair, ...]:
-    """Both sides over powers of d = p - q: lam^m/(lam-1)^(m+l) = p^m q^l/d^(m+l)."""
+    """The right side over a power of d = p - q: lam^m/(lam-1)^(m+l) = p^m q^l/d^(m+l)."""
     if lam == 1:
         return ()
     p, q = lam.as_integer_ratio()
-    terms = []
-    for k in range(m + 1):
-        num, den = _bern_pair(l + k, l, lam)
-        terms.append(((-1) ** k * stirling1_unsigned(m, k) * num, binomial(l + k, l) * den))
     rhs = F(l * p**m * q**l * factorial(m + l - 1), (p - q) ** (m + l))
-    return (("bernoulli-sum", _sum_over_lcm(terms), rhs),)
+    return (("bernoulli-sum", _bernoulli_stirling1_sum(0, m, l, lam), rhs),)
 
 
 def _chk_finite_sums(pt, grid) -> list[Pair]:
@@ -718,21 +714,11 @@ def _chk_finite_sums(pt, grid) -> list[Pair]:
 def _chk_diag_bernoulli_values(pt, grid) -> list[Pair]:
     m, l = pt["m"], pt["l"]
     n = m + l
-    pairs: list[Pair] = []
-    rhs = F(l + m, l) * sum(
-        (
-            F(-1) ** k * stirling1_unsigned(m, k) / binomial(l + k, l) * fam.bernoulli_higher(k + l, l)
-            for k in range(m + 1)
-        ),
-        F(0),
-    )
-    pairs.append(("shifted-diagonal", fam.bernoulli_higher_poly(n, n, m), rhs))
-    pairs.append(
-        ("reflection", fam.bernoulli_higher_poly(n, n, n - l), F(-1) ** n * fam.bernoulli_higher_poly(n, n, l))
-    )
-    pairs.append(
-        ("second-kind-link", fam.bernoulli_higher_poly(n, n, 1), factorial(n) * fam.bernoulli_second_kind(n))
-    )
+    pairs: list[Pair] = [
+        ("shifted-diagonal", *_shifted_diagonal(m, l)),
+        ("reflection", fam.bernoulli_higher_poly(n, n, n - l), F(-1) ** n * fam.bernoulli_higher_poly(n, n, l)),
+        ("second-kind-link", fam.bernoulli_higher_poly(n, n, 1), factorial(n) * fam.bernoulli_second_kind(n)),
+    ]
     if n >= 2:
         pairs.append(
             ("order-drop", fam.bernoulli_higher_poly(n, n, 1), fam.bernoulli_higher(n, n - 1) / (1 - n))
@@ -761,21 +747,10 @@ def _chk_aux_euler_reflection(pt, grid) -> list[Pair]:
     _need_euler_domain(lam)
     if lam == 0:
         raise SkipDomain("lambda=0: reciprocal parameter undefined")
-    if lam == 1:
-        lhs = fam.apostol_euler_poly_mantissa(n, alpha, alpha - x, F(1))
-        rhs = F(-1) ** n * fam.apostol_euler_poly_mantissa(n, alpha, x, F(1))
-        return [("", lhs, rhs)]
-    if alpha.denominator != 1:
+    refl = _euler_reflection(n, alpha, x, lam)
+    if refl is None:
         raise SkipDomain("non-integer order with lambda != 1: prefactor powers are not rationally comparable")
-    a = int(alpha)
-    lhs = fam.euler_prefactor_base(lam) ** a * fam.apostol_euler_poly_mantissa(n, alpha, alpha - x, lam)
-    rhs = (
-        F(-1) ** n
-        * lam ** (-a)
-        * fam.euler_prefactor_base(1 / lam) ** a
-        * fam.apostol_euler_poly_mantissa(n, alpha, x, 1 / lam)
-    )
-    return [("", lhs, rhs)]
+    return [("", *refl)]
 
 
 # ---------------------------------------------------------------------------
@@ -853,8 +828,6 @@ def _perturb_value(v, rng: random.Random):
     if isinstance(v, Series):
         k = rng.randrange(v.order + 1)
         return v + Series([0] * k + [1], v.order)
-    if isinstance(v, fam.ScaledRational):
-        return fam.ScaledRational(v.mantissa + 1, v.base, v.exponent)
     raise TypeError(f"cannot perturb {type(v).__name__}")
 
 

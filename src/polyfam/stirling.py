@@ -8,23 +8,15 @@ concurrently, while growth is serialized by a lock (single writer).
 from __future__ import annotations
 
 import threading
-from enum import Enum
-
-
-class StirlingKind(Enum):
-    SECOND = "second"
-    FIRST_UNSIGNED = "first_unsigned"
+from typing import Callable
 
 
 class StirlingTable:
-    """Triangular cache of Stirling numbers of one kind.
+    """Triangular cache of Stirling numbers of one kind, grown by T(n+1, k) =
+    factor(n, k) T(n, k) + T(n, k-1): factor = k for {n, k}, n for [n, k]."""
 
-    SECOND:         {n+1, k} = k*{n, k} + {n, k-1}
-    FIRST_UNSIGNED: [n+1, k] = n*[n, k] + [n, k-1]
-    """
-
-    def __init__(self, kind: StirlingKind):
-        self.kind = kind
+    def __init__(self, factor: Callable[[int, int], int]):
+        self._factor = factor
         self._rows: list[tuple[int, ...]] = [(1,)]
         self._lock = threading.Lock()
 
@@ -37,10 +29,9 @@ class StirlingTable:
             while len(self._rows) <= n:
                 m = len(self._rows) - 1  # index of the last built row
                 prev = self._rows[-1]
-                factor = (lambda k: k) if self.kind is StirlingKind.SECOND else (lambda k: m)
                 row = [0] * (m + 2)
                 for k in range(m + 2):
-                    rec = factor(k) * prev[k] if k <= m else 0
+                    rec = self._factor(m, k) * prev[k] if k <= m else 0
                     low = prev[k - 1] if 1 <= k <= m + 1 else 0
                     row[k] = rec + low
                 self._rows.append(tuple(row))
@@ -62,8 +53,8 @@ class StirlingTable:
         return self._rows[n]
 
 
-_SECOND = StirlingTable(StirlingKind.SECOND)
-_FIRST = StirlingTable(StirlingKind.FIRST_UNSIGNED)
+_SECOND = StirlingTable(lambda n, k: k)
+_FIRST = StirlingTable(lambda n, k: n)
 
 
 def stirling2(n: int, k: int) -> int:

@@ -472,6 +472,60 @@ def chk_finite_sums(pt):
     return pairs
 
 
+def chk_bernoulli_higher_recurrence(pt):
+    m, l = pt["m"], pt["l"]
+    lhs1 = fam.bernoulli_higher(m + l, l)
+    rhs1 = F(0)
+    for k in range(m + 1):
+        s = stirling2(m, k)
+        if s:
+            rhs1 += s * F(-1) ** k / (l + k) * fam.bernoulli_higher_poly(l + k, l + k, k)
+    rhs1 *= l * comb(m + l, l)
+    lhs2 = fam.bernoulli_higher_poly(m + l, m + l, m)
+    rhs2 = F(0)
+    for k in range(m + 1):
+        s = stirling1_unsigned(m, k)
+        if s:
+            rhs2 += F(-1) ** k * s / comb(k + l, l) * fam.bernoulli_higher(k + l, l)
+    rhs2 *= F(l + m, l)
+    return [("diagonal-sum", lhs1, rhs1), ("inverse-transform", lhs2, rhs2)]
+
+
+def chk_diag_bernoulli_values(pt):
+    m, l = pt["m"], pt["l"]
+    n = m + l
+    pairs = []
+    rhs = F(l + m, l) * sum(
+        (F(-1) ** k * stirling1_unsigned(m, k) / comb(l + k, l) * fam.bernoulli_higher(k + l, l)
+         for k in range(m + 1)),
+        F(0),
+    )
+    pairs.append(("shifted-diagonal", fam.bernoulli_higher_poly(n, n, m), rhs))
+    pairs.append(("reflection", fam.bernoulli_higher_poly(n, n, n - l), F(-1) ** n * fam.bernoulli_higher_poly(n, n, l)))
+    pairs.append(("second-kind-link", fam.bernoulli_higher_poly(n, n, 1), factorial(n) * fam.bernoulli_second_kind(n)))
+    if n >= 2:
+        pairs.append(("order-drop", fam.bernoulli_higher_poly(n, n, 1), fam.bernoulli_higher(n, n - 1) / (1 - n)))
+    return pairs
+
+
+def chk_aux_euler_reflection(pt):
+    n, alpha, lam, x = pt["n"], F(pt["alpha"]), F(pt["lambda"]), F(pt["x"])
+    _need_euler_domain(lam)
+    if lam == 0:
+        raise SkipDomain("lambda=0: reciprocal parameter undefined")
+    if lam == 1:
+        lhs = fam.apostol_euler_poly_mantissa(n, alpha, alpha - x, F(1))
+        rhs = F(-1) ** n * fam.apostol_euler_poly_mantissa(n, alpha, x, F(1))
+        return [("", lhs, rhs)]
+    if alpha.denominator != 1:
+        raise SkipDomain("non-integer order with lambda != 1: prefactor powers are not rationally comparable")
+    a = int(alpha)
+    lhs = fam.euler_prefactor_base(lam) ** a * fam.apostol_euler_poly_mantissa(n, alpha, alpha - x, lam)
+    rhs = (F(-1) ** n * lam ** (-a) * fam.euler_prefactor_base(1 / lam) ** a
+           * fam.apostol_euler_poly_mantissa(n, alpha, x, 1 / lam))
+    return [("", lhs, rhs)]
+
+
 OLD_CHECKERS = {
     "w-general-recurrence": chk_w_general_recurrence,
     "apostol-euler-recurrence": chk_apostol_euler_recurrence,
@@ -479,6 +533,9 @@ OLD_CHECKERS = {
     "poly-shift-prop": chk_poly_shift_prop,
     "poly-shift-theorem": chk_poly_shift_theorem,
     "finite-sums": chk_finite_sums,
+    "bernoulli-higher-recurrence": chk_bernoulli_higher_recurrence,
+    "diag-bernoulli-values": chk_diag_bernoulli_values,
+    "aux-euler-reflection": chk_aux_euler_reflection,
 }
 
 # the checkers whose sums run over the integer family rows: each Euler-side sum

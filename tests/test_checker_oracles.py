@@ -24,16 +24,21 @@ alphas = st.one_of(
     st.fractions(min_value=F(1, 7), max_value=6, max_denominator=7).filter(lambda a: a.denominator != 1),
     st.sampled_from([F(1), F(2), F(3)]),
 )
+xs = st.one_of(
+    st.sampled_from([F(0), F(1), F(-1, 2), F(2, 3)]),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+)
 
 
 @pytest.mark.parametrize("identity_id", sorted(OLD_CHECKERS))
-@given(n=st.integers(0, 6), m=st.integers(0, 6), l=st.integers(1, 4), alpha=alphas, lam=lambdas)
-@example(n=6, m=6, l=4, alpha=F(5, 2), lam=F(-3))
-@example(n=3, m=4, l=2, alpha=F(1, 2), lam=F(0))
-@example(n=5, m=3, l=1, alpha=F(1), lam=F(-1, 2))
-@example(n=4, m=5, l=3, alpha=F(7, 3), lam=F(1, 3))
-def test_checker_matches_old_fraction_body(identity_id, n, m, l, alpha, lam):
-    pt = {"n": n, "m": m, "l": l, "alpha": alpha, "lambda": lam}
+@given(n=st.integers(0, 6), m=st.integers(0, 6), l=st.integers(1, 4), alpha=alphas, lam=lambdas, x=xs)
+@example(n=6, m=6, l=4, alpha=F(5, 2), lam=F(-3), x=F(-1, 2))
+@example(n=3, m=4, l=2, alpha=F(1, 2), lam=F(0), x=F(2, 3))
+@example(n=5, m=3, l=1, alpha=F(1), lam=F(-1, 2), x=F(1))
+@example(n=4, m=5, l=3, alpha=F(7, 3), lam=F(1, 3), x=F(0))
+@example(n=5, m=2, l=2, alpha=F(3), lam=F(1), x=F(-5, 3))
+def test_checker_matches_old_fraction_body(identity_id, n, m, l, alpha, lam, x):
+    pt = {"n": n, "m": m, "l": l, "alpha": alpha, "lambda": lam, "x": x}
     check = REGISTRY[identity_id].check
     try:
         expected = OLD_CHECKERS[identity_id](pt)

@@ -220,6 +220,13 @@ def test_verify_rejects_jobs_below_one(capsys, jobs):
     assert "--jobs must be >= 1" in err
 
 
+@pytest.mark.parametrize("flag", ["--nmax", "--mmax", "--nm-sum", "--gf-mmax", "--order"])
+def test_verify_rejects_grid_bounds_below_zero(capsys, flag):
+    code, out, err = run_cli(capsys, "verify", "--all", flag, "-1")
+    assert code == 2 and out == ""
+    assert f"{flag} must be >= 0" in err
+
+
 def test_verify_list(capsys):
     code, out, _ = run_cli(capsys, "verify", "--list")
     assert code == 0

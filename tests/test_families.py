@@ -270,16 +270,6 @@ def test_scaled_canonicalization():
     assert str(s) == "1/2*(1/2)^(1/2)"
 
 
-def test_scaled_arithmetic():
-    a = fam.scaled(F(2), F(2, 3), F(1, 2))
-    b = fam.scaled(F(3), F(2, 3), F(1, 2))
-    assert a + b == fam.scaled(F(5), F(2, 3), F(1, 2))
-    assert a * 3 == fam.scaled(F(6), F(2, 3), F(1, 2))
-    assert a * b == F(4)  # exponents add to 1, collapsing to a rational
-    with pytest.raises(DomainError):
-        a + fam.scaled(F(1), F(3, 4), F(1, 2))
-
-
 @given(st.fractions(min_value=-50, max_value=50, max_denominator=20).filter(lambda v: v not in (0, 1)),
        st.fractions(min_value=-8, max_value=8, max_denominator=6))
 def test_scaled_integer_exponents_collapse(base, expo):
