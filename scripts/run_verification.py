@@ -19,6 +19,9 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--order", type=int, default=12)
     args = parser.parse_args()
+    if args.order < 0:  # as `polyfam verify --order -1` reports it
+        sys.stderr.write("error: --order must be >= 0\n")
+        return 2
 
     grid = GridConfig(order=args.order)
     started = time.perf_counter()

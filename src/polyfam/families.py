@@ -14,10 +14,13 @@ identity check compares the rational mantissas.  For lam < -1 that base is
 negative, so the value at a non-integer order is not real; it stays a formal
 ScaledRational here, and the CLI refuses to print it.
 
-The closed-sum kernels are cached in private bodies keyed by the integers of
-``as_integer_ratio()`` (alpha = a/b, lam = p/q, x0 = u/v); each value is one
-integer over a denominator its docstring states, and the ``_*_num`` bodies
-return that integer for the checkers' integer sums.
+The closed sums are integers.  With alpha = a/b, lam = p/q and x0 = u/v from
+``as_integer_ratio()``, every Apostol-type number is a general geometric
+polynomial value w_{n,a}(x) (``_geometric_num``) and every polynomial value an
+Appell sum over a row of numbers (``_appell_num``), each one integer over a
+denominator its docstring states.  One cached integer per value, keyed by
+those ints (the ``_*_num`` bodies), is made a Fraction on return; the
+checkers read the integers for their own integer sums.
 """
 
 from __future__ import annotations
@@ -26,12 +29,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import floor, lcm
+from math import floor
 from typing import Callable
 
 from .poly import Poly
 from .rationals import DomainError, binomial, factorial, rational_str
-from .series import Series, binomial_power, expm1_over_t
+from .series import Series, _numerators, binomial_power, expm1_over_t
 from .stirling import _FIRST, _SECOND, stirling2
 
 Rat = Fraction
@@ -105,15 +108,6 @@ def exponential_poly(n: int) -> Poly:
     return Poly([stirling2(n, k) for k in range(n + 1)])
 
 
-@lru_cache(maxsize=None)
-def exponential_poly_recurrence(n: int) -> Poly:
-    """Same polynomial by phi_{n+1} = x (phi_n + phi_n'); independent route."""
-    if n == 0:
-        return Poly.one()
-    prev = exponential_poly_recurrence(n - 1)
-    return Poly.x() * (prev + prev.derivative())
-
-
 def bell(n: int) -> Rat:
     return exponential_poly(n)(1)
 
@@ -153,6 +147,33 @@ def euler_classical(n: int) -> Rat:
 
 
 # ---------------------------------------------------------------------------
+# the two integer kernels of the Apostol-type closed sums
+# ---------------------------------------------------------------------------
+
+def _geometric_num(n: int, a: int, b: int, u: int, v: int) -> int:
+    """(bv)^n w_{n,a/b}(u/v) = sum_k {n,k} a(a+b)...(a+(k-1)b) u^k (bv)^(n-k),
+    by Horner in bv.  Kept apart from general_geometric, so that w-connections
+    compares two code paths."""
+    d, acc, rising, power = b * v, 0, 1, 1  # rising = prod(a+ib), power = u^k
+    for k in range(n + 1):
+        acc = acc * d + stirling2(n, k) * rising * power
+        rising *= a + k * b
+        power *= u
+    return acc
+
+
+def _appell_num(n: int, num: Callable[[int], int], w: int, v: int) -> int:
+    """sum_k C(n,k) num(k) v^k w^(n-k), by Horner in w.  For a row
+    c_k = num(k)/(D d^k) and x0 = u/v, the Appell sum sum_k C(n,k) c_k x0^(n-k)
+    is this integer at w = du, over D (dv)^n."""
+    acc, vk = 0, 1  # vk = v^k
+    for k in range(n + 1):
+        acc = acc * w + binomial(n, k) * num(k) * vk
+        vk *= v
+    return acc
+
+
+# ---------------------------------------------------------------------------
 # higher-order Bernoulli numbers/polynomials (series route is canonical)
 # ---------------------------------------------------------------------------
 
@@ -178,25 +199,20 @@ def bernoulli_classical(n: int) -> Rat:
 def bernoulli_higher_poly(n: int, l: int, x0: Rat) -> Rat:
     """B_n^{(l)}(x0) = sum_k C(n,k) B_k^{(l)} x0^{n-k}; for x0 = u/v one
     integer over L v^n, L the lcm of the denominators of B_0..B_n of order l."""
-    return _bernoulli_poly(n, l, *_ratio(x0))
+    u, v = _ratio(x0)
+    return Fraction(_bernoulli_poly_num(n, l, u, v), _bernoulli_row(n, l)[0] * v**n)
 
 
 @lru_cache(maxsize=None)
-def _bernoulli_poly(n: int, l: int, u: int, v: int) -> Rat:
-    den, nums = _bernoulli_row(n, l)
-    acc, vk = 0, 1  # Horner in u; vk = v^k
-    for k in range(n + 1):
-        acc = acc * u + binomial(n, k) * nums[k] * vk
-        vk *= v
-    return Fraction(acc, den * v**n)
+def _bernoulli_poly_num(n: int, l: int, u: int, v: int) -> int:
+    return _appell_num(n, _bernoulli_row(n, l)[1].__getitem__, u, v)
 
 
 @lru_cache(maxsize=None)
 def _bernoulli_row(n: int, l: int) -> tuple[int, tuple[int, ...]]:
     """B_0^{(l)}..B_n^{(l)} as numerators over L, the lcm of their denominators."""
-    row = [bernoulli_higher(k, l) for k in range(n + 1)]
-    den = lcm(*(b.denominator for b in row))
-    return den, tuple(b.numerator * (den // b.denominator) for b in row)
+    den, nums = _numerators([bernoulli_higher(k, l) for k in range(n + 1)])
+    return den, tuple(nums)
 
 
 @lru_cache(maxsize=None)
@@ -213,12 +229,12 @@ def bernoulli_second_kind(n: int) -> Rat:
 
 def apostol_bernoulli_higher(n: int, l: int, lam: Rat) -> Rat:
     """Closed-sum route; zero for n < l, matching the t-adic valuation of the
-    generating series (t/(lam e^t - 1))^l for lam != 1: l! C(n,l) sum_k {n-l,k}
-    l(l+1)...(l+k-1) (-lam)^k/(lam-1)^(l+k), one integer over (p-q)^n for
+    generating series (t/(lam e^t - 1))^l for lam != 1: l! C(n,l)
+    w_{n-l,l}(-lam/(lam-1)) / (lam-1)^l, one integer over (p-q)^n for
     lam = p/q (_apostol_bernoulli_num)."""
     p, q = _ratio(lam)
     _check_apostol_bernoulli_domain(l, p, q)
-    return _apostol_bernoulli(n, l, p, q)
+    return Fraction(_apostol_bernoulli_num(n, l, p, q), (p - q) ** n)
 
 
 def _check_apostol_bernoulli_domain(l: int, p: int, q: int) -> None:
@@ -229,21 +245,11 @@ def _check_apostol_bernoulli_domain(l: int, p: int, q: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _apostol_bernoulli(n: int, l: int, p: int, q: int) -> Rat:
-    return Fraction(_apostol_bernoulli_num(n, l, p, q), (p - q) ** n)
-
-
-@lru_cache(maxsize=None)
 def _apostol_bernoulli_num(n: int, l: int, p: int, q: int) -> int:
-    """The numerator of the order-l Apostol-Bernoulli number at lam = p/q over (p-q)^n."""
+    """The order-l Apostol-Bernoulli number at lam = p/q, times (p-q)^n."""
     if n < l:
         return 0
-    d, acc, rising, power = p - q, 0, 1, 1  # Horner in d; rising = l(l+1)..., power = (-p)^k
-    for k in range(n - l + 1):
-        acc = acc * d + stirling2(n - l, k) * rising * power
-        rising *= l + k
-        power *= -p
-    return factorial(l) * binomial(n, l) * q**l * acc
+    return factorial(l) * binomial(n, l) * q**l * _geometric_num(n - l, l, 1, -p, p - q)
 
 
 def apostol_bernoulli_poly(n: int, l: int, x0: Rat, lam: Rat) -> Rat:
@@ -251,22 +257,12 @@ def apostol_bernoulli_poly(n: int, l: int, x0: Rat, lam: Rat) -> Rat:
     x0 = u/v (_apostol_bernoulli_poly_num)."""
     (p, q), (u, v) = _ratio(lam), _ratio(x0)
     _check_apostol_bernoulli_domain(l, p, q)
-    return _apostol_bernoulli_poly(n, l, p, q, u, v)
-
-
-@lru_cache(maxsize=None)
-def _apostol_bernoulli_poly(n: int, l: int, p: int, q: int, u: int, v: int) -> Rat:
     return Fraction(_apostol_bernoulli_poly_num(n, l, p, q, u, v), ((p - q) * v) ** n)
 
 
+@lru_cache(maxsize=None)
 def _apostol_bernoulli_poly_num(n: int, l: int, p: int, q: int, u: int, v: int) -> int:
-    """Not cached: _apostol_bernoulli_poly caches each value, and the checker
-    sums that read these numerators are cached themselves."""
-    du, acc, vk = (p - q) * u, 0, 1  # Horner in du; vk = v^k
-    for k in range(n + 1):
-        acc = acc * du + binomial(n, k) * _apostol_bernoulli_num(k, l, p, q) * vk
-        vk *= v
-    return acc
+    return _appell_num(n, lambda k: _apostol_bernoulli_num(k, l, p, q), (p - q) * u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -287,29 +283,18 @@ def _check_euler_pole(p: int, q: int) -> None:
 
 
 def apostol_euler_mantissa(n: int, alpha: Rat, lam: Rat) -> Rat:
-    """M with E_n^{(a)}(lam) = (2/(lam+1))^a M; the closed Stirling sum
-    M = sum_k {n,k} a(a+1)...(a+k-1) (-lam/(lam+1))^k, taken in integers: with
-    a = a/b and lam = p/q each term is an integer over (b(p+q))^k, and M one
-    integer over d^n, d = b(p+q) (_euler_num)."""
+    """M with E_n^{(a)}(lam) = (2/(lam+1))^a M; M = w_{n,a}(-lam/(lam+1)), the
+    closed Stirling sum sum_k {n,k} a(a+1)...(a+k-1) (-lam/(lam+1))^k, one
+    integer over d^n, d = b(p+q), for a = a/b and lam = p/q (_euler_num)."""
     (a, b), (p, q) = _ratio(alpha), _ratio(lam)
     _check_euler_pole(p, q)
-    return _euler_mantissa(n, a, b, p, q)
-
-
-@lru_cache(maxsize=None)
-def _euler_mantissa(n: int, a: int, b: int, p: int, q: int) -> Rat:
     return Fraction(_euler_num(n, a, b, p, q), (b * (p + q)) ** n)
 
 
 @lru_cache(maxsize=None)
 def _euler_num(n: int, a: int, b: int, p: int, q: int) -> int:
-    """The numerator of M_n at alpha = a/b, lam = p/q over (b(p+q))^n."""
-    d, acc, rising, power = b * (p + q), 0, 1, 1  # Horner in d; rising = prod(a+ib), power = (-p)^k
-    for k in range(n + 1):
-        acc = acc * d + stirling2(n, k) * rising * power
-        rising *= a + k * b
-        power *= -p
-    return acc
+    """The mantissa M_n at alpha = a/b, lam = p/q, times (b(p+q))^n."""
+    return _geometric_num(n, a, b, -p, p + q)
 
 
 def apostol_euler_poly_mantissa(n: int, alpha: Rat, x0: Rat, lam: Rat) -> Rat:
@@ -317,22 +302,12 @@ def apostol_euler_poly_mantissa(n: int, alpha: Rat, x0: Rat, lam: Rat) -> Rat:
     (_euler_poly_num)."""
     (a, b), (p, q), (u, v) = _ratio(alpha), _ratio(lam), _ratio(x0)
     _check_euler_pole(p, q)
-    return _euler_poly_mantissa(n, a, b, p, q, u, v)
-
-
-@lru_cache(maxsize=None)
-def _euler_poly_mantissa(n: int, a: int, b: int, p: int, q: int, u: int, v: int) -> Rat:
     return Fraction(_euler_poly_num(n, a, b, p, q, u, v), (b * (p + q) * v) ** n)
 
 
+@lru_cache(maxsize=None)
 def _euler_poly_num(n: int, a: int, b: int, p: int, q: int, u: int, v: int) -> int:
-    """Not cached: _euler_poly_mantissa caches each value, and the checker
-    sums that read these numerators are cached themselves."""
-    du, acc, vk = b * (p + q) * u, 0, 1  # Horner in du; vk = v^k
-    for k in range(n + 1):
-        acc = acc * du + binomial(n, k) * _euler_num(k, a, b, p, q) * vk
-        vk *= v
-    return acc
+    return _appell_num(n, lambda k: _euler_num(k, a, b, p, q), b * (p + q) * u, v)
 
 
 def apostol_euler_higher(n: int, alpha: Rat, lam: Rat):

@@ -444,18 +444,17 @@ def _chk_fubini_explicit(pt, grid) -> list[Pair]:
     return [("", lhs, rhs)]
 
 
-def _euler_shift_sum(n: int, m: int, alpha: Fraction, lam: Fraction, inner) -> Fraction:
-    """sum_k {m,k} a(a+1)...(a+k-1) (-lam/(lam+1))^k V_k for Euler-side values
-    V_k of order a + k.  With a = a/b and lam = p/q, gcd(a+kb, b) = 1 leaves
-    d = b(p+q) unchanged for a + k, so every mantissa M_j and polynomial
-    mantissa at an integer point is an integer over d^j; inner(k, key, d)
-    returns V_k's over d^n, reading the integer kernels at key = (a+kb, b, p, q),
-    and the sum is one integer over d^(n+m) (Horner in d)."""
+def _euler_shift_sum(n: int, m: int, alpha: Fraction, lam: Fraction) -> Fraction:
+    """sum_k {m,k} a(a+1)...(a+k-1) (-lam/(lam+1))^k E_n^{(a+k)}(k; lam), in
+    mantissas.  With a = a/b and lam = p/q, gcd(a+kb, b) = 1 leaves d = b(p+q)
+    unchanged for a + k, so the polynomial mantissa of order a + k at x0 = k is
+    the integer families._euler_poly_num(n, a+kb, b, p, q, k, 1) over d^n, and
+    the sum is one integer over d^(n+m) (Horner in d)."""
     (a, b), (p, q) = alpha.as_integer_ratio(), lam.as_integer_ratio()
     d, acc, rising, power = b * (p + q), 0, 1, 1  # rising = prod(a+ib), power = (-p)^k
     for k in range(m + 1):
         s = stirling2(m, k)
-        acc = acc * d + (s * rising * power * inner(k, (a + k * b, b, p, q), d) if s else 0)
+        acc = acc * d + (s * rising * power * fam._euler_poly_num(n, a + k * b, b, p, q, k, 1) if s else 0)
         rising *= a + k * b
         power *= -p
     return F(acc, d ** (n + m))
@@ -511,10 +510,7 @@ def _chk_apostol_euler_recurrence(pt, grid) -> list[Pair]:
     n, m, alpha, lam = pt["n"], pt["m"], _rat(pt["alpha"]), _rat(pt["lambda"])
     _need_euler_domain(lam)
     lhs = fam.apostol_euler_mantissa(n + m, alpha, lam)
-    rhs = _euler_shift_sum(n, m, alpha, lam, lambda k, key, d: sum(
-        binomial(n, j) * (k * d) ** (n - j) * fam._euler_num(j, *key) for j in range(n + 1)
-    ))
-    return [("", lhs, rhs)]
+    return [("", lhs, _euler_shift_sum(n, m, alpha, lam))]
 
 
 def _chk_apostol_euler_explicit(pt, grid) -> list[Pair]:
@@ -612,9 +608,10 @@ def _chk_apostol_bernoulli_classical(pt, grid) -> list[Pair]:
 # reads (alpha on the Bernoulli side, l on the Euler side), so each half is
 # cached, keyed by exactly the parameters it reads; checkers copy the pairs
 # into a fresh list, which --perturb may then edit.  The halves share their sums
-# with the checkers above: _euler_shift_sum and _euler_stirling1_sum on the Euler
-# side, _bernoulli_shift_sum and _bernoulli_stirling1_sum on the Bernoulli side,
-# and _euler_reflection with aux-euler-reflection.
+# with the checkers above: _euler_shift_sum (also apostol-euler-recurrence's
+# right side) and _euler_stirling1_sum on the Euler side, _bernoulli_shift_sum
+# and _bernoulli_stirling1_sum on the Bernoulli side, and _euler_reflection with
+# aux-euler-reflection.  The sums read the cached integer kernels of families.
 
 @lru_cache(maxsize=None)
 def _connection_euler(n: int, alpha: Fraction, lam: Fraction) -> tuple[Pair, ...]:
@@ -647,10 +644,7 @@ def _chk_w_connections(pt, grid) -> list[Pair]:
 
 @lru_cache(maxsize=None)
 def _prop_euler(n: int, m: int, alpha: Fraction, lam: Fraction) -> tuple[Pair, ...]:
-    def inner(k, key, d):  # the polynomial mantissa of order a + k at x0 = k, over d^n
-        return fam._euler_poly_num(n, *key, k, 1)
-
-    return (("euler-shift", fam.apostol_euler_mantissa(n + m, alpha, lam), _euler_shift_sum(n, m, alpha, lam, inner)),)
+    return (("euler-shift", fam.apostol_euler_mantissa(n + m, alpha, lam), _euler_shift_sum(n, m, alpha, lam)),)
 
 
 @lru_cache(maxsize=None)

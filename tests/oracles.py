@@ -73,6 +73,14 @@ def stirling1_row_by_enumeration(n: int) -> list[int]:
     return row
 
 
+def exponential_poly_recurrence(n: int) -> Poly:
+    """phi_n by phi_{k+1} = x (phi_k + phi_k'), from phi_0 = 1."""
+    p = Poly.one()
+    for _ in range(n):
+        p = Poly.x() * (p + p.derivative())
+    return p
+
+
 def bernoulli_by_recurrence(n: int) -> list[Fraction]:
     """B_0..B_n from sum_{k<=m} C(m+1, k) B_k = 0 (so B_1 = -1/2)."""
     out = [Fraction(1)]

@@ -17,6 +17,7 @@ from .oracles import (
     bernoulli_higher_by_convolution,
     bernoulli_higher_poly_in_x,
     euler_zero_values,
+    exponential_poly_recurrence,
     fubini_by_enumeration,
     gregory_by_integration,
     stirling2_row_by_enumeration,
@@ -42,7 +43,7 @@ def test_exponential_poly_matches_partition_enumeration():
 
 def test_exponential_poly_routes_agree_to_30():
     for n in range(31):
-        assert fam.exponential_poly(n) == fam.exponential_poly_recurrence(n)
+        assert fam.exponential_poly(n) == exponential_poly_recurrence(n)
 
 
 def test_exponential_poly_shape_invariants():

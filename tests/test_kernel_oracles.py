@@ -2,6 +2,7 @@
 Fraction references (term-by-term sums and power sums, in oracles.py)."""
 
 from fractions import Fraction as F
+from math import comb
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -54,6 +55,26 @@ def test_apostol_bernoulli_higher_matches_term_sum(n, l, lam):
 @given(indices, positive_alphas)
 def test_general_geometric_matches_term_sum(n, alpha):
     assert list(fam.general_geometric(n, alpha).coeffs) == general_geometric_coeffs_naive(n, alpha)
+
+
+# The two integer kernels of families on arguments no family passes them:
+# a/b > 0 of either sign pair, x0 = u/v of any sign, and arbitrary integer rows.
+@given(indices, st.integers(min_value=1, max_value=30), st.integers(min_value=1, max_value=9), st.booleans(),
+       st.integers(min_value=-40, max_value=40), st.integers(min_value=-40, max_value=40).filter(bool))
+@example(9, 7, 3, True, 5, -4)
+def test_geometric_num_is_scaled_general_geometric(n, a, b, negate, u, v):
+    if negate:
+        a, b = -a, -b
+    assert fam._geometric_num(n, a, b, u, v) == (b * v) ** n * fam.general_geometric(n, F(a, b))(F(u, v))
+
+
+@given(st.lists(st.integers(min_value=-10**6, max_value=10**6), min_size=1, max_size=25),
+       st.integers(min_value=-50, max_value=50), st.integers(min_value=-50, max_value=50))
+@example([3, -1, 4], 0, 0)
+def test_appell_num_matches_binomial_sum(row, w, v):
+    n = len(row) - 1
+    naive = sum(comb(n, k) * row[k] * v**k * w ** (n - k) for k in range(n + 1))
+    assert fam._appell_num(n, row.__getitem__, w, v) == naive
 
 
 @settings(max_examples=40, deadline=None)
