@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run identity checks over a grid")
     common(v)
     v.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility; points always run sequentially, so its value changes nothing")
+                   help="worker processes; at N > 1 whole identities run in min(N, ids) processes, same output")
     v.add_argument("--all", action="store_true", help="run every registered identity")
     v.add_argument("--id", action="append", default=None, help="identity id (repeatable)")
     v.add_argument("--list", action="store_true", help="list identity ids and exit")
@@ -267,7 +267,7 @@ def cmd_verify(args) -> int:
         if unknown:
             raise UsageError(f"unknown identity id: {', '.join(unknown)}")
     grid = _grid_from_args(args)
-    summary, reports, bounds = run_all(grid, ids, perturb=args.perturb, timing=args.timing)
+    summary, reports, bounds = run_all(grid, ids, perturb=args.perturb, timing=args.timing, jobs=args.jobs)
     if args.format == "json":
         payload = {
             "summary": summary.to_dict(),

@@ -5,9 +5,10 @@ Every identity is a pure checker mapping one grid point to a list of
 equal.  Points whose parameters fall outside an identity's domain are
 reported ``skipped-domain`` with the reason, never silently passed.
 
-The runner evaluates grid points one after another and merges reports in
-canonical order (identity id, then the lexicographic grid-point key), so
-its output is deterministic.
+The runner evaluates each identity's grid points one after another, in one
+process or, at jobs > 1, one identity per worker process, and merges reports
+in canonical order (identity id, then the lexicographic grid-point key), so
+its output is deterministic at any job count.
 
 Sums over family values run in integers and build one Fraction at the end:
 with alpha = a/b and lam = p/q, an Euler-side sum is one integer over a power
@@ -21,9 +22,9 @@ import random
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
-from math import lcm
+from math import lcm, prod
 from typing import Callable
 
 from . import families as fam
@@ -872,21 +873,43 @@ def run_identity(identity_id: str, grid: GridConfig | None = None, *,
     return run_all(grid, [identity_id], perturb=perturb, timing=timing)[1]
 
 
+def _run_block(identity_id: str, grid: GridConfig, perturb: bool,
+               timing: bool) -> tuple[str, tuple[list[IdentityReport], int | None]]:
+    """One unit of work: an identity id mapped to its sorted reports and its
+    lambda degree bound."""
+    identity = get_identity(identity_id)
+    pt_grid, bound = identity_grid_for(identity, grid)
+    reports = [_evaluate_point(identity, pt, pt_grid, perturb, timing)
+               for pt in grid_points(identity.slots, pt_grid)]
+    return identity_id, (sorted(reports, key=IdentityReport.sort_key), bound)
+
+
+def _grid_size(identity_id: str, grid: GridConfig) -> int:
+    identity = get_identity(identity_id)
+    pt_grid = identity_grid_for(identity, grid)[0]
+    return prod(len(SLOTS[slot](pt_grid)) for slot in identity.slots)
+
+
 def run_all(grid: GridConfig | None = None, ids: list[str] | None = None, *,
-            perturb: bool = False,
-            timing: bool = False) -> tuple[Summary, list[IdentityReport], dict[str, int]]:
+            perturb: bool = False, timing: bool = False,
+            jobs: int = 1) -> tuple[Summary, list[IdentityReport], dict[str, int]]:
+    """Run the selected identities; with jobs > 1, whole identities go to
+    min(jobs, len(ids)) worker processes, largest grid first.  The reports are
+    the same either way: blocks are joined in sorted-id order."""
     grid = grid or GridConfig()
     selected = sorted(REGISTRY) if ids is None else sorted(set(ids))
-    bounds: dict[str, int] = {}
-    reports: list[IdentityReport] = []
-    for identity_id in selected:
-        identity = get_identity(identity_id)
-        pt_grid, bound = identity_grid_for(identity, grid)
-        if bound is not None:
-            bounds[identity_id] = bound
-        reports.extend(_evaluate_point(identity, pt, pt_grid, perturb, timing)
-                       for pt in grid_points(identity.slots, pt_grid))
-    reports.sort(key=IdentityReport.sort_key)
+    block = partial(_run_block, grid=grid, perturb=perturb, timing=timing)
+    workers = min(jobs, len(selected))
+    if workers > 1:
+        import multiprocessing  # here, so that importing polyfam and jobs=1 never load it
+
+        queue = sorted(selected, key=lambda i: _grid_size(i, grid), reverse=True)
+        with multiprocessing.Pool(workers) as pool:
+            blocks = dict(pool.imap_unordered(block, queue, chunksize=1))
+    else:
+        blocks = dict(map(block, selected))
+    reports = [r for i in selected for r in blocks[i][0]]
+    bounds = {i: blocks[i][1] for i in selected if blocks[i][1] is not None}
     summary = Summary(
         passed=sum(r.status == "pass" for r in reports),
         failed=sum(r.status == "fail" for r in reports),
