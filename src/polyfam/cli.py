@@ -282,13 +282,13 @@ def cmd_verify(args) -> int:
     elif args.format == "csv":
         rows = [["id", "params", "status", "lhs", "rhs", "micros"]]
         for r in reports:
-            params = " ".join(f"{k}={v}" for k, v in sorted(r.params.items()))
+            params = " ".join(f"{k}={v}" for k, v in r.params.items())
             rows.append([r.id, params, r.status, r.lhs, r.rhs, str(r.micros)])
         sys.stdout.write(_emit_csv(rows))
         sys.stdout.write(f"# pass={summary.passed} fail={summary.failed} skipped={summary.skipped}\n")
     else:
         for r in reports:
-            params = " ".join(f"{k}={v}" for k, v in sorted(r.params.items()))
+            params = " ".join(f"{k}={v}" for k, v in r.params.items())
             line = f"{r.status:<14} {r.id} [{params}]"
             if r.status == "fail":
                 line += f" lhs={r.lhs} rhs={r.rhs}"

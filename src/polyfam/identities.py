@@ -2,8 +2,16 @@
 
 Every identity is a pure checker mapping one grid point to a list of
 (label, lhs, rhs) comparison pairs; a point passes when every pair is exactly
-equal.  Points whose parameters fall outside an identity's domain are
-reported ``skipped-domain`` with the reason, never silently passed.
+equal.  The grid hands checkers exact values: ints for the indices, Fractions
+for alpha, lambda and x.  Points whose parameters fall outside an identity's
+domain are reported ``skipped-domain`` with the reason, never silently passed.
+
+An identity whose sides read different grid axes (an Euler side of order alpha
+beside a Bernoulli side of order l) is declared by its halves instead:
+``_halves((fn, keys), ...)`` calls each cached ``fn`` with the point's values
+of ``keys`` and joins their pairs in order, so a half runs once per distinct
+value of its keys, whatever the axes it ignores.  A half that raises
+SkipDomain stops the halves after it, so a domain guard goes in the first.
 
 The runner evaluates each identity's grid points one after another, in one
 process or, at jobs > 1, one identity per worker process, and merges reports
@@ -34,11 +42,6 @@ from .series import Series, linear_combination
 from .stirling import stirling1_unsigned, stirling2
 
 F = Fraction
-
-
-def _rat(v) -> Fraction:
-    """A grid value as a Fraction; one that is a Fraction already is not copied."""
-    return v if type(v) is Fraction else F(v)
 
 
 Pair = tuple[str, object, object]
@@ -88,9 +91,10 @@ class GridConfig:
         ]
 
 
-# Grid axes: each slot maps a GridConfig to the parameter values one axis of
-# an identity's grid takes.  "gm" is the shift m bounded by gf_mmax, and
-# "int_alpha" the integer orders only; both report under the usual names.
+# Grid axes: each slot maps a GridConfig to the values one axis of an
+# identity's grid takes, typed here once (Fractions for alpha, lambda and x).
+# "gm" is the shift m bounded by gf_mmax, and "int_alpha" the integer orders
+# only; both report under the usual names.
 SLOTS: dict[str, Callable[[GridConfig], list[dict]]] = {
     "nm": lambda g: [{"n": n, "m": m} for n, m in g.nm_pairs()],
     "n": lambda g: [{"n": n} for n in range(g.nmax + 1)],
@@ -99,8 +103,8 @@ SLOTS: dict[str, Callable[[GridConfig], list[dict]]] = {
     "l": lambda g: [{"l": l} for l in g.ls],
     "alpha": lambda g: [{"alpha": a} for a in g.alphas()],
     "int_alpha": lambda g: [{"alpha": a} for a in g.int_alphas],
-    "lambda": lambda g: [{"lambda": lam} for lam in g.lambdas],
-    "x": lambda g: [{"x": x} for x in g.xs],
+    "lambda": lambda g: [{"lambda": F(lam)} for lam in g.lambdas],
+    "x": lambda g: [{"x": F(x)} for x in g.xs],
 }
 
 
@@ -119,7 +123,7 @@ def grid_points(slots: tuple[str, ...], grid: GridConfig) -> list[dict]:
 @dataclass
 class IdentityReport:
     id: str
-    params: dict[str, str]
+    params: dict[str, str]    # rendered values, in sorted key order
     status: str               # "pass" | "fail" | "skipped-domain"
     lhs: str
     rhs: str
@@ -127,17 +131,11 @@ class IdentityReport:
     reason: str = ""
 
     def sort_key(self) -> tuple:
-        return (self.id, tuple(sorted(self.params.items())))
+        return (self.id, tuple(self.params.items()))
 
     def to_dict(self) -> dict:
-        out = {
-            "id": self.id,
-            "params": dict(sorted(self.params.items())),
-            "status": self.status,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "micros": self.micros,
-        }
+        out = {"id": self.id, "params": self.params, "status": self.status,
+               "lhs": self.lhs, "rhs": self.rhs, "micros": self.micros}
         if self.reason:
             out["reason"] = self.reason
         return out
@@ -151,12 +149,6 @@ class Summary:
 
     def to_dict(self) -> dict:
         return {"pass": self.passed, "fail": self.failed, "skipped": self.skipped}
-
-
-def render_value(v) -> str:
-    if isinstance(v, (int, Fraction)):
-        return rational_str(v)
-    return str(v)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +314,7 @@ def _chk_spivey(pt, grid) -> list[Pair]:
 
 
 def _chk_gf_phi_shift(pt, grid) -> list[Pair]:
-    m, x = pt["m"], _rat(pt["x"])
+    m, x = pt["m"], pt["x"]
     order = grid.order
     lhs = _euler_series_lhs(lambda n: fam.exponential_poly(n + m)(x), order)
     rhs = fam.gf_exp_bell(x, order) * _eval_at(fam.exponential_poly(m), _phi_argument, x, order)
@@ -330,14 +322,14 @@ def _chk_gf_phi_shift(pt, grid) -> list[Pair]:
 
 
 def _chk_gf_phi_base(pt, grid) -> list[Pair]:
-    x = _rat(pt["x"])
+    x = pt["x"]
     order = grid.order
     lhs = _euler_series_lhs(lambda n: fam.exponential_poly(n)(x), order)
     return [("", lhs, fam.gf_exp_bell(x, order))]
 
 
 def _chk_gf_w_shift(pt, grid) -> list[Pair]:
-    m, alpha, x = pt["m"], _rat(pt["alpha"]), _rat(pt["x"])
+    m, alpha, x = pt["m"], pt["alpha"], pt["x"]
     order = grid.order
     # (1 - x(e^t - 1))^(-alpha) is the base series itself
     rhs = fam.gf_general_geometric(x, alpha, order) * _eval_at(
@@ -347,14 +339,14 @@ def _chk_gf_w_shift(pt, grid) -> list[Pair]:
 
 
 def _chk_gf_w_base(pt, grid) -> list[Pair]:
-    alpha, x = _rat(pt["alpha"]), _rat(pt["x"])
+    alpha, x = pt["alpha"], pt["x"]
     order = grid.order
     lhs = _euler_series_lhs(lambda n: fam.general_geometric(n, alpha)(x), order)
     return [("", lhs, fam.gf_general_geometric(x, alpha, order))]
 
 
 def _chk_gf_apostol_euler_shift(pt, grid) -> list[Pair]:
-    m, alpha, lam = pt["m"], _rat(pt["alpha"]), _rat(pt["lambda"])
+    m, alpha, lam = pt["m"], pt["alpha"], pt["lambda"]
     _need_euler_domain(lam)
     order = grid.order
     # ((lam+1)/(lam e^t + 1))^alpha is the mantissa series itself
@@ -365,7 +357,7 @@ def _chk_gf_apostol_euler_shift(pt, grid) -> list[Pair]:
 
 
 def _chk_gf_apostol_bernoulli_shift(pt, grid) -> list[Pair]:
-    m, l, lam = pt["m"], pt["l"], _rat(pt["lambda"])
+    m, l, lam = pt["m"], pt["l"], pt["lambda"]
     order = grid.order
     if lam != 1:
         rhs = _bernoulli_shift_prefactor(l, lam, order) * _eval_at(
@@ -400,7 +392,7 @@ def _chk_gf_apostol_bernoulli_shift(pt, grid) -> list[Pair]:
 
 
 def _chk_w_general_recurrence(pt, grid) -> list[Pair]:
-    n, m, alpha = pt["n"], pt["m"], _rat(pt["alpha"])
+    n, m, alpha = pt["n"], pt["m"], pt["alpha"]
     lhs = fam.general_geometric(n + m, alpha)
     coeffs = [F(0)] * (n + m + 1)
     rising = F(1)  # alpha(alpha+1)...(alpha+k-1), carried across k
@@ -508,14 +500,14 @@ def _euler_reflection(n: int, a: Fraction, x: Fraction, lam: Fraction) -> tuple[
 
 
 def _chk_apostol_euler_recurrence(pt, grid) -> list[Pair]:
-    n, m, alpha, lam = pt["n"], pt["m"], _rat(pt["alpha"]), _rat(pt["lambda"])
+    n, m, alpha, lam = pt["n"], pt["m"], pt["alpha"], pt["lambda"]
     _need_euler_domain(lam)
     lhs = fam.apostol_euler_mantissa(n + m, alpha, lam)
     return [("", lhs, _euler_shift_sum(n, m, alpha, lam))]
 
 
 def _chk_apostol_euler_explicit(pt, grid) -> list[Pair]:
-    m, alpha, lam = pt["m"], _rat(pt["alpha"]), _rat(pt["lambda"])
+    m, alpha, lam = pt["m"], pt["alpha"], pt["lambda"]
     _need_euler_domain(lam)
     order = max(grid.order, m)
     lhs = fam.apostol_euler_mantissa(m, alpha, lam)
@@ -529,7 +521,7 @@ def _chk_apostol_euler_explicit(pt, grid) -> list[Pair]:
 
 
 def _chk_apostol_bernoulli_recurrence(pt, grid) -> list[Pair]:
-    n, m, l, lam = pt["n"], pt["m"], pt["l"], _rat(pt["lambda"])
+    n, m, l, lam = pt["n"], pt["m"], pt["l"], pt["lambda"]
     if lam != 1:
         p, q = lam.as_integer_ratio()  # (-lam)^k = (-p)^k / q^k
         lhs = fam.apostol_bernoulli_higher(n + m + l, l, lam) / (binomial(n + m + l, l) * l)
@@ -563,7 +555,7 @@ def _chk_bernoulli_higher_recurrence(pt, grid) -> list[Pair]:
 
 
 def _chk_apostol_bernoulli_diag_recurrence(pt, grid) -> list[Pair]:
-    m, l, lam = pt["m"], pt["l"], _rat(pt["lambda"])
+    m, l, lam = pt["m"], pt["l"], pt["lambda"]
     _need_apostol_bernoulli_domain(lam)
     lhs = fam.apostol_bernoulli_higher(m + l, l, lam)
     p, q = lam.as_integer_ratio()  # (-lam)^k = (-p)^k / q^k
@@ -578,7 +570,7 @@ def _chk_apostol_bernoulli_diag_recurrence(pt, grid) -> list[Pair]:
 
 
 def _chk_apostol_bernoulli_explicit(pt, grid) -> list[Pair]:
-    n, l, lam = pt["n"], pt["l"], _rat(pt["lambda"])
+    n, l, lam = pt["n"], pt["l"], pt["lambda"]
     _need_apostol_bernoulli_domain(lam)
     order = max(grid.order, n)
     pairs: list[Pair] = [
@@ -592,7 +584,7 @@ def _chk_apostol_bernoulli_explicit(pt, grid) -> list[Pair]:
 
 
 def _chk_apostol_bernoulli_classical(pt, grid) -> list[Pair]:
-    n, lam = pt["n"], _rat(pt["lambda"])
+    n, lam = pt["n"], pt["lambda"]
     _need_apostol_bernoulli_domain(lam)
     value = fam.apostol_bernoulli_higher(n, 1, lam)
     if n == 0:
@@ -605,14 +597,19 @@ def _chk_apostol_bernoulli_classical(pt, grid) -> list[Pair]:
     return [("geometric-eval", value, geo), ("stirling-sum", value, explicit)]
 
 
-# The four identities below cross grid axes that one half of their check never
-# reads (alpha on the Bernoulli side, l on the Euler side), so each half is
-# cached, keyed by exactly the parameters it reads; checkers copy the pairs
-# into a fresh list, which --perturb may then edit.  The halves share their sums
-# with the checkers above: _euler_shift_sum (also apostol-euler-recurrence's
-# right side) and _euler_stirling1_sum on the Euler side, _bernoulli_shift_sum
-# and _bernoulli_stirling1_sum on the Bernoulli side, and _euler_reflection with
-# aux-euler-reflection.  The sums read the cached integer kernels of families.
+# The four identities below are declared by their halves (see the module
+# docstring), which share their sums with the checkers above: _euler_shift_sum
+# (also apostol-euler-recurrence's right side) and _euler_stirling1_sum on the
+# Euler side, _bernoulli_shift_sum and _bernoulli_stirling1_sum on the
+# Bernoulli side, and _euler_reflection with aux-euler-reflection.  The sums
+# read the cached integer kernels of families.
+
+def _halves(*halves: tuple[Callable[..., tuple[Pair, ...]], tuple[str, ...]]):
+    """The check joining the pairs of each (half, keys) in order, in a fresh list that --perturb may edit."""
+    def check(pt: dict, grid: GridConfig) -> list[Pair]:
+        return [pair for half, keys in halves for pair in half(*(pt[k] for k in keys))]
+    return check
+
 
 @lru_cache(maxsize=None)
 def _connection_euler(n: int, alpha: Fraction, lam: Fraction) -> tuple[Pair, ...]:
@@ -633,18 +630,14 @@ def _connection_bernoulli(n: int, l: int, lam: Fraction) -> tuple[Pair, ...]:
              (lam - 1) ** l / factorial(l) / binomial(n + l, l) * fam.apostol_bernoulli_higher(n + l, l, lam)),)
 
 
-def _chk_w_connections(pt, grid) -> list[Pair]:
-    n, alpha, l, lam = pt["n"], _rat(pt["alpha"]), pt["l"], _rat(pt["lambda"])
-    pairs: list[Pair] = [*_connection_euler(n, alpha, lam), *_connection_bernoulli(n, l, lam)]
-    if alpha == 1 and l == 1:
-        pairs.append(("euler-value", fam.geometric_poly(n)(F(-1, 2)), fam.euler_classical(n)))
-    if not pairs:
-        raise SkipDomain("no connection defined at this parameter point")
-    return pairs
+@lru_cache(maxsize=None)
+def _connection_classical(n: int, alpha: Fraction, l: int) -> tuple[Pair, ...]:
+    return (("euler-value", fam.geometric_poly(n)(F(-1, 2)), fam.euler_classical(n)),) if alpha == l == 1 else ()
 
 
 @lru_cache(maxsize=None)
 def _prop_euler(n: int, m: int, alpha: Fraction, lam: Fraction) -> tuple[Pair, ...]:
+    _need_euler_domain(lam)
     return (("euler-shift", fam.apostol_euler_mantissa(n + m, alpha, lam), _euler_shift_sum(n, m, alpha, lam)),)
 
 
@@ -654,14 +647,11 @@ def _prop_bernoulli(n: int, m: int, l: int, lam: Fraction) -> tuple[Pair, ...]:
     return (("bernoulli-shift", lhs, l * _bernoulli_shift_sum(n, m, l, lam)),)
 
 
-def _chk_poly_shift_prop(pt, grid) -> list[Pair]:
-    n, m, l, alpha, lam = pt["n"], pt["m"], pt["l"], _rat(pt["alpha"]), _rat(pt["lambda"])
-    _need_euler_domain(lam)
-    return [*_prop_euler(n, m, alpha, lam), *_prop_bernoulli(n, m, l, lam)]
-
-
 @lru_cache(maxsize=None)
 def _theorem_euler(n: int, m: int, alpha: Fraction, lam: Fraction) -> tuple[Pair, ...]:
+    _need_euler_domain(lam)
+    if lam == 0:
+        raise SkipDomain("lambda=0: reciprocal parameter undefined")
     lhs_e = fam.euler_prefactor_base(lam) ** m * fam.apostol_euler_poly_mantissa(n, alpha + m, F(m), lam)
     rhs_e = (F(2) / lam) ** m / factorial(m) / gen_binomial(alpha + m - 1, m) * _euler_stirling1_sum(n, m, alpha, lam)
     refl = _euler_reflection(n, alpha + m, alpha, lam)
@@ -676,16 +666,9 @@ def _theorem_bernoulli(n: int, m: int, l: int, lam: Fraction) -> tuple[Pair, ...
     return (("bernoulli-shift", lhs_b, rhs_b), ("bernoulli-reflection", lhs_b, refl_b))
 
 
-def _chk_poly_shift_theorem(pt, grid) -> list[Pair]:
-    n, m, l, alpha, lam = pt["n"], pt["m"], pt["l"], _rat(pt["alpha"]), _rat(pt["lambda"])
-    _need_euler_domain(lam)
-    if lam == 0:
-        raise SkipDomain("lambda=0: reciprocal parameter undefined")
-    return [*_theorem_euler(n, m, alpha, lam), *_theorem_bernoulli(n, m, l, lam)]
-
-
 @lru_cache(maxsize=None)
 def _finite_sums_euler(m: int, alpha: Fraction, lam: Fraction) -> tuple[Pair, ...]:
+    _need_euler_domain(lam)
     rhs = lam**m * factorial(m) / (lam + 1) ** m * gen_binomial(alpha + m - 1, m)
     return (("euler-sum", _euler_stirling1_sum(0, m, alpha, lam), rhs),)
 
@@ -698,12 +681,6 @@ def _finite_sums_bernoulli(m: int, l: int, lam: Fraction) -> tuple[Pair, ...]:
     p, q = lam.as_integer_ratio()
     rhs = F(l * p**m * q**l * factorial(m + l - 1), (p - q) ** (m + l))
     return (("bernoulli-sum", _bernoulli_stirling1_sum(0, m, l, lam), rhs),)
-
-
-def _chk_finite_sums(pt, grid) -> list[Pair]:
-    m, l, alpha, lam = pt["m"], pt["l"], _rat(pt["alpha"]), _rat(pt["lambda"])
-    _need_euler_domain(lam)
-    return [*_finite_sums_euler(m, alpha, lam), *_finite_sums_bernoulli(m, l, lam)]
 
 
 def _chk_diag_bernoulli_values(pt, grid) -> list[Pair]:
@@ -722,7 +699,7 @@ def _chk_diag_bernoulli_values(pt, grid) -> list[Pair]:
 
 
 def _chk_aux_wang(pt, grid) -> list[Pair]:
-    n, alpha, lam, x = pt["n"], _rat(pt["alpha"]), _rat(pt["lambda"]), _rat(pt["x"])
+    n, alpha, lam, x = pt["n"], pt["alpha"], pt["lambda"], pt["x"]
     _need_euler_domain(lam)
     b = fam.euler_prefactor_base(lam)
     lhs = alpha * lam / 2 * b * fam.apostol_euler_poly_mantissa(n, alpha + 1, x + 1, lam)
@@ -731,14 +708,14 @@ def _chk_aux_wang(pt, grid) -> list[Pair]:
 
 
 def _chk_aux_srivastava_luo(pt, grid) -> list[Pair]:
-    n, alpha, lam, x = pt["n"], int(pt["alpha"]), _rat(pt["lambda"]), _rat(pt["x"])
+    n, alpha, lam, x = pt["n"], int(pt["alpha"]), pt["lambda"], pt["x"]
     lhs = alpha * lam * _bern_poly(n, alpha + 1, x + 1, lam)
     rhs = (n * x * _bern_poly(n - 1, alpha, x, lam) if n else F(0)) + (alpha - n) * _bern_poly(n, alpha, x, lam)
     return [("", lhs, rhs)]
 
 
 def _chk_aux_euler_reflection(pt, grid) -> list[Pair]:
-    n, alpha, lam, x = pt["n"], _rat(pt["alpha"]), _rat(pt["lambda"]), _rat(pt["x"])
+    n, alpha, lam, x = pt["n"], pt["alpha"], pt["lambda"], pt["x"]
     _need_euler_domain(lam)
     if lam == 0:
         raise SkipDomain("lambda=0: reciprocal parameter undefined")
@@ -791,13 +768,22 @@ for _identity in [
              ("n", "lambda"), _chk_apostol_bernoulli_classical, _deg_bound_rec),
     Identity("w-connections",
              "geometric polynomial values at distinguished points give the Euler/Bernoulli-type families",
-             ("n", "alpha", "l", "lambda"), _chk_w_connections, _deg_bound_rec),
+             ("n", "alpha", "l", "lambda"),
+             _halves((_connection_euler, ("n", "alpha", "lambda")), (_connection_bernoulli, ("n", "l", "lambda")),
+                     (_connection_classical, ("n", "alpha", "l"))),
+             _deg_bound_rec),
     Identity("poly-shift-prop", "shift of the second index into polynomial arguments, number form",
-             ("nm", "l", "alpha", "lambda"), _chk_poly_shift_prop, _deg_bound_rec),
+             ("nm", "l", "alpha", "lambda"),
+             _halves((_prop_euler, ("n", "m", "alpha", "lambda")), (_prop_bernoulli, ("n", "m", "l", "lambda"))),
+             _deg_bound_rec),
     Identity("poly-shift-theorem", "inverse-transform shift into polynomial arguments, with reflections",
-             ("nm", "l", "alpha", "lambda"), _chk_poly_shift_theorem, _deg_bound_rec),
+             ("nm", "l", "alpha", "lambda"),
+             _halves((_theorem_euler, ("n", "m", "alpha", "lambda")), (_theorem_bernoulli, ("n", "m", "l", "lambda"))),
+             _deg_bound_rec),
     Identity("finite-sums", "closed forms for alternating first-kind Stirling sums over both families",
-             ("m", "l", "alpha", "lambda"), _chk_finite_sums, _deg_bound_rec),
+             ("m", "l", "alpha", "lambda"),
+             _halves((_finite_sums_euler, ("m", "alpha", "lambda")), (_finite_sums_bernoulli, ("m", "l", "lambda"))),
+             _deg_bound_rec),
     Identity("diag-bernoulli-values", "diagonal higher-order Bernoulli polynomial values and the second-kind link",
              ("m", "l"), _chk_diag_bernoulli_values),
     Identity("aux-wang", "order-raising relation for Euler-type polynomials",
@@ -828,7 +814,7 @@ def _perturb_value(v, rng: random.Random):
 
 def _evaluate_point(identity: Identity, pt: dict, grid: GridConfig,
                     perturb: bool, timing: bool) -> IdentityReport:
-    params = {k: rational_str(v) if isinstance(v, Fraction) else str(v) for k, v in pt.items()}
+    params = {k: rational_str(pt[k]) for k in sorted(pt)}
     started = time.perf_counter() if timing else 0.0
     try:
         pairs = identity.check(pt, grid)
@@ -836,7 +822,7 @@ def _evaluate_point(identity: Identity, pt: dict, grid: GridConfig,
         micros = int((time.perf_counter() - started) * 1e6) if timing else 0
         return IdentityReport(identity.id, params, "skipped-domain", "", "", micros, skip.reason)
     if perturb:
-        rng = random.Random(f"{identity.id}|{sorted(params.items())!r}")
+        rng = random.Random(f"{identity.id}|{list(params.items())!r}")
         idx = rng.randrange(len(pairs))
         label, lhs, rhs = pairs[idx]
         if rng.random() < 0.5:
@@ -845,10 +831,10 @@ def _evaluate_point(identity: Identity, pt: dict, grid: GridConfig,
             pairs[idx] = (label, lhs, _perturb_value(rhs, rng))
     status = "pass" if all(lhs == rhs for _, lhs, rhs in pairs) else "fail"
     if len(pairs) == 1 and pairs[0][0] == "":
-        lhs_s, rhs_s = render_value(pairs[0][1]), render_value(pairs[0][2])
+        lhs_s, rhs_s = str(pairs[0][1]), str(pairs[0][2])
     else:
-        lhs_s = "; ".join(f"{lb}={render_value(lv)}" for lb, lv, _ in pairs)
-        rhs_s = "; ".join(f"{lb}={render_value(rv)}" for lb, _, rv in pairs)
+        lhs_s = "; ".join(f"{lb}={lv}" for lb, lv, _ in pairs)
+        rhs_s = "; ".join(f"{lb}={rv}" for lb, _, rv in pairs)
     micros = int((time.perf_counter() - started) * 1e6) if timing else 0
     return IdentityReport(identity.id, params, status, lhs_s, rhs_s, micros)
 

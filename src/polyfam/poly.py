@@ -62,17 +62,6 @@ class Poly:
         n = max(len(self._c), len(other._c))
         return Poly([self.coeff(i) + other.coeff(i) for i in range(n)])
 
-    __radd__ = __add__
-
-    def __neg__(self) -> "Poly":
-        return Poly([-c for c in self._c])
-
-    def __sub__(self, other: "Poly | Fraction | int") -> "Poly":
-        return self + (-_as_poly(other))
-
-    def __rsub__(self, other: "Poly | Fraction | int") -> "Poly":
-        return _as_poly(other) - self
-
     def __mul__(self, other: "Poly | Fraction | int") -> "Poly":
         if isinstance(other, (int, Fraction)):
             return Poly([c * other for c in self._c])
@@ -84,24 +73,8 @@ class Poly:
                         out[i + j] += a * b
         return Poly(out)
 
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> "Poly":
-        if e < 0:
-            raise ValueError("polynomial powers must be >= 0")
-        out, base = Poly.one(), self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return out
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Poly) and self._c == other._c
-
-    def __hash__(self) -> int:
-        return hash(self._c)
 
     def __call__(self, v: Fraction | int) -> Fraction:
         """Exact Horner evaluation."""

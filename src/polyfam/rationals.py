@@ -31,7 +31,10 @@ def parse_rational(text: str) -> Fraction:
     s = text.strip()
     if not _RATIONAL_RE.match(s):
         raise DomainError(f"not an exact rational (use p/q or integer form): {text!r}")
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise DomainError(f"zero denominator: {text!r}") from None
 
 
 def rational_str(value: Fraction | int) -> str:

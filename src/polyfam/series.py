@@ -86,8 +86,6 @@ class Series:
         n = self._common(other)
         return Series([self._c[i] + other._c[i] for i in range(n + 1)], n)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "Series":
         return Series([-c for c in self._c], self._order)
 
@@ -95,9 +93,6 @@ class Series:
         if isinstance(other, (int, Fraction)):
             other = Series.constant(other, self._order)
         return self + (-other)
-
-    def __rsub__(self, other: "Series | Fraction | int") -> "Series":
-        return (-self) + other
 
     def __mul__(self, other: "Series | Fraction | int") -> "Series":
         if isinstance(other, (int, Fraction)):
@@ -107,8 +102,6 @@ class Series:
         db, b = _numerators(other._c[n::-1])  # reversed: b[n - j] is coefficient j
         den = da * db
         return Series([Fraction(sum(map(mul, a[: i + 1], b[n - i :])), den) for i in range(n + 1)], n)
-
-    __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "Series":
         if e < 0:
@@ -157,9 +150,6 @@ class Series:
     # -- equality and rendering ----------------------------------------
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Series) and self._order == other._order and self._c == other._c
-
-    def __hash__(self) -> int:
-        return hash((self._order, self._c))
 
     def coeff_strings(self) -> list[str]:
         return [rational_str(c) for c in self._c]

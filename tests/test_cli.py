@@ -308,6 +308,17 @@ def test_config_file_errors(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--id", "aux-wang", "--lambda", "1/0"),
+    ("table", "--family", "general-geometric", "--alpha", "3/0"),
+    ("series", "--gf", "exp-bell", "--x", "1/0"),
+])
+def test_zero_denominator_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: zero denominator: ") and err.count("\n") == 1
+
+
 def test_plain_verify_output_mentions_skips(capsys):
     code, out, _ = run_cli(capsys, "verify", "--id", "apostol-bernoulli-explicit",
                            "--nmax", "1", "--l", "1", "--lambda", "1,2")

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction as F
 from math import factorial
 
@@ -100,6 +101,15 @@ def test_spivey_at_one_is_the_bell_number_formula():
                 for j in range(m + 1)
             )
             assert fam.bell(n + m) == rhs
+
+
+def test_int_grid_values_give_the_reports_of_their_fraction_twins():
+    ints = GridConfig(nmax=2, mmax=2, nm_sum=3, gf_mmax=1, ls=(1, 2), int_alphas=(1, 2), frac_alphas=(F(1, 2),),
+                      lambdas=(2, -3, 1), xs=(1, -2), order=6)
+    twin = replace(ints, lambdas=tuple(map(F, ints.lambdas)), xs=tuple(map(F, ints.xs)))
+    summary, reports, _ = run_all(ints)
+    assert summary.failed == 0 and summary.passed > 0
+    assert reports == run_all(twin)[1]
 
 
 def test_skipped_domain_lambda_one_on_explicit():

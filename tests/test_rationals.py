@@ -30,7 +30,7 @@ def test_parse_and_render_roundtrip():
     assert rational_str(parse_rational("3/6")) == "1/2"
 
 
-@pytest.mark.parametrize("bad", ["1.5", "x", "", "1/2/3", "1e3"])
+@pytest.mark.parametrize("bad", ["1.5", "x", "", "1/2/3", "1e3", "1/0", "-3/00"])
 def test_parse_rejects_non_rationals(bad):
     with pytest.raises(DomainError):
         parse_rational(bad)

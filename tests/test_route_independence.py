@@ -1,0 +1,198 @@
+"""Route independence: a bug planted in one shared piece must fail some point.
+
+The catalog is an oracle only while the two sides of each identity reach their
+values by different code; a helper that both sides share would cancel its own
+bug.  Each case below plants one small fault in one shared piece (DeMillo,
+Lipton & Sayward, "Hints on test data selection", IEEE Computer 11(4), 1978),
+runs the catalog on a reduced grid in this process, and names the identities
+that caught it.  CAUGHT_BY records the catch set of every mutation: a change
+that shrinks one makes two routes share the mutated piece.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+
+from polyfam import families as fam
+from polyfam import identities, stirling
+from polyfam.identities import GridConfig, run_all
+from polyfam.poly import Poly
+from polyfam.series import Series
+
+# 8,801 points, all passing on clean code
+REDUCED = GridConfig(nmax=4, mmax=4, nm_sum=5, gf_mmax=3, order=8)
+
+
+def _bump(values, k, delta):
+    """values with values[k] + delta, or unchanged when there is no index k."""
+    values = list(values)
+    if k < len(values):
+        values[k] += delta
+    return values
+
+
+def _bumped(fn, k, delta):
+    """fn, or a Series method, with coefficient k of its Series result raised by delta."""
+    def mutant(*args):
+        out = fn(*args)
+        return Series(_bump(out.coeffs, k, delta), out.order)
+    return mutant
+
+
+def _geometric_num(original):
+    # the kernel as if {3,2} were 4: one more k = 2 term of sum_k {n,k} a(a+b) u^k (bv)^(n-k)
+    return lambda n, a, b, u, v: original(n, a, b, u, v) + (a * (a + b) * u**2 * b * v if n == 3 else 0)
+
+
+def _appell_num(original):
+    # the kernel as if C(3,1) were 4: one more k = 1 term num(1) v w^2
+    return lambda n, num, w, v: original(n, num, w, v) + (num(1) * v * w**2 if n == 3 else 0)
+
+
+def _bernoulli_row(original):
+    def mutant(n, l):
+        den, nums = original(n, l)
+        return den, tuple(_bump(nums, 1, 1))
+    return mutant
+
+
+def _sum_over_lcm(original):
+    def mutant(terms):  # drops the last term of a sum of two or more
+        terms = list(terms)
+        return original(terms[:-1] if len(terms) > 1 else terms)
+    return mutant
+
+
+def _general_geometric(original):
+    return lambda n, alpha: Poly(_bump(original(n, alpha).coeffs, 2, 1))
+
+
+def _series_mul(original):
+    def mutant(self, other):
+        out = original(self, other)
+        if isinstance(other, Series):
+            return Series(_bump(out.coeffs, 2, 1), out.order)
+        return out
+    return mutant
+
+
+# name -> (owner, attribute, mutant factory); a name is patched where it is read
+MUTATIONS = {
+    "_geometric_num {3,2}+1": (fam, "_geometric_num", _geometric_num),
+    "_appell_num C(3,1)+1": (fam, "_appell_num", _appell_num),
+    "binomial_power coefficient 3 + 1/7": (fam, "binomial_power", lambda f: _bumped(f, 3, F(1, 7))),
+    "Series.inverse coefficient 2 + 1": (Series, "inverse", lambda f: _bumped(f, 2, 1)),
+    "euler_prefactor_base x2": (fam, "euler_prefactor_base", lambda f: lambda lam: 2 * f(lam)),
+    "gen_binomial(., 2) + 1 in identities":
+        (identities, "gen_binomial", lambda f: lambda r, k: f(r, k) + (k == 2)),
+    "_sum_over_lcm drops its last term": (identities, "_sum_over_lcm", _sum_over_lcm),
+    "linear_combination coefficient 1 + 1/3": (identities, "linear_combination", lambda f: _bumped(f, 1, F(1, 3))),
+    "Series.__mul__ product coefficient 2 + 1": (Series, "__mul__", _series_mul),
+    "Series.exp coefficient 2 + 1": (Series, "exp", lambda f: _bumped(f, 2, 1)),
+    "_bernoulli_row B_1 numerator + 1": (fam, "_bernoulli_row", _bernoulli_row),
+    "general_geometric x^2 coefficient + 1": (fam, "general_geometric", _general_geometric),
+}
+# Stirling triangle entries edited in place: (table, n, k)
+ROW_EDITS = {
+    "Stirling {4,2} + 1": (stirling._SECOND, 4, 2),
+    "Stirling [3,1] + 1": (stirling._FIRST, 3, 1),
+}
+
+CAUGHT_BY = {
+    "Series.__mul__ product coefficient 2 + 1": {
+        "apostol-bernoulli-explicit", "apostol-bernoulli-recurrence", "apostol-euler-explicit",
+        "aux-srivastava-luo", "bernoulli-higher-recurrence", "diag-bernoulli-values",
+        "gf-apostol-bernoulli-shift", "gf-apostol-euler-shift", "gf-phi-shift", "gf-w-shift",
+        "poly-shift-prop", "poly-shift-theorem",
+    },
+    "Series.exp coefficient 2 + 1": {
+        "gf-phi-base", "gf-phi-shift",
+    },
+    "Series.inverse coefficient 2 + 1": {
+        "apostol-bernoulli-explicit", "apostol-bernoulli-recurrence", "apostol-euler-explicit",
+        "aux-srivastava-luo", "bernoulli-higher-recurrence", "diag-bernoulli-values",
+        "gf-apostol-bernoulli-shift", "gf-apostol-euler-shift", "gf-w-shift", "poly-shift-prop",
+        "poly-shift-theorem",
+    },
+    "Stirling [3,1] + 1": {
+        "bernoulli-higher-recurrence", "diag-bernoulli-values", "finite-sums", "poly-shift-theorem",
+    },
+    "Stirling {4,2} + 1": {
+        "apostol-bernoulli-recurrence", "apostol-euler-explicit", "apostol-euler-recurrence",
+        "aux-euler-reflection", "aux-wang", "bernoulli-higher-recurrence", "finite-sums", "fubini-explicit",
+        "gf-apostol-bernoulli-shift", "gf-apostol-euler-shift", "gf-phi-base", "gf-phi-shift", "gf-w-base",
+        "gf-w-shift", "poly-shift-prop", "poly-shift-theorem", "spivey", "w-explicit", "w-general-recurrence",
+    },
+    "_appell_num C(3,1)+1": {
+        "apostol-bernoulli-recurrence", "apostol-euler-recurrence", "aux-euler-reflection",
+        "aux-srivastava-luo", "aux-wang", "bernoulli-higher-recurrence", "diag-bernoulli-values",
+        "poly-shift-prop", "poly-shift-theorem",
+    },
+    "_bernoulli_row B_1 numerator + 1": {
+        "apostol-bernoulli-recurrence", "aux-srivastava-luo", "bernoulli-higher-recurrence",
+        "diag-bernoulli-values", "poly-shift-prop", "poly-shift-theorem",
+    },
+    "_geometric_num {3,2}+1": {
+        "apostol-bernoulli-classical", "apostol-bernoulli-diag-recurrence", "apostol-bernoulli-explicit",
+        "apostol-bernoulli-recurrence", "apostol-euler-explicit", "apostol-euler-recurrence",
+        "aux-euler-reflection", "aux-srivastava-luo", "aux-wang", "finite-sums", "gf-apostol-bernoulli-shift",
+        "gf-apostol-euler-shift", "poly-shift-prop", "poly-shift-theorem", "w-connections",
+    },
+    "_sum_over_lcm drops its last term": {
+        "apostol-bernoulli-diag-recurrence", "apostol-bernoulli-recurrence", "bernoulli-higher-recurrence",
+        "diag-bernoulli-values", "finite-sums", "poly-shift-prop", "poly-shift-theorem",
+    },
+    "binomial_power coefficient 3 + 1/7": {
+        "apostol-euler-explicit", "gf-apostol-euler-shift", "gf-w-base", "gf-w-shift",
+    },
+    "euler_prefactor_base x2": {
+        "apostol-euler-explicit", "aux-wang", "poly-shift-theorem",
+    },
+    "gen_binomial(., 2) + 1 in identities": {
+        "finite-sums", "poly-shift-theorem",
+    },
+    "general_geometric x^2 coefficient + 1": {
+        "gf-apostol-bernoulli-shift", "gf-apostol-euler-shift", "gf-w-base", "gf-w-shift", "w-connections",
+        "w-general-recurrence",
+    },
+    "linear_combination coefficient 1 + 1/3": {
+        "gf-apostol-bernoulli-shift", "gf-apostol-euler-shift", "gf-phi-shift", "gf-w-shift",
+    },
+}
+
+
+def _clear_caches():
+    for module in (fam, identities):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
+@pytest.fixture
+def clean_state(monkeypatch):
+    """Clean caches before and after; patches undone and Stirling rows restored
+    before the caches are cleared again, so no mutant value outlives its case."""
+    tables = (stirling._SECOND, stirling._FIRST)
+    rows = [list(t._rows) for t in tables]
+    _clear_caches()
+    yield monkeypatch
+    monkeypatch.undo()
+    for table, saved in zip(tables, rows):
+        table._rows[:] = saved
+    _clear_caches()
+
+
+@pytest.mark.parametrize("name", sorted(CAUGHT_BY))
+def test_mutation_is_caught(clean_state, name):
+    if name in MUTATIONS:
+        owner, attr, factory = MUTATIONS[name]
+        clean_state.setattr(owner, attr, factory(getattr(owner, attr)))
+    else:
+        table, n, k = ROW_EDITS[name]
+        row = list(table.row(n))
+        row[k] += 1
+        table._rows[n] = tuple(row)
+    summary, reports, _ = run_all(REDUCED)
+    caught = {r.id for r in reports if r.status == "fail"}
+    assert caught, f"{name} survived: no identity failed"
+    assert caught >= CAUGHT_BY[name], f"{name} caught by {sorted(caught)}, not by {sorted(CAUGHT_BY[name] - caught)}"
