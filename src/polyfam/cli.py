@@ -147,15 +147,14 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 # rendering
 # ---------------------------------------------------------------------------
 
-def _value_strings(value) -> tuple[str, object]:
-    """(display string, json value) for one table cell."""
+def _cell(value, as_json: bool):
+    """One table cell in the one form its format prints; json takes a list
+    of strings for a polynomial or a triangle row."""
     if isinstance(value, Poly):
-        return str(value), value.coeff_strings()
+        return value.coeff_strings() if as_json else str(value)
     if isinstance(value, tuple):  # triangle row
-        return " ".join(str(v) for v in value), [str(v) for v in value]
-    if isinstance(value, fam.ScaledRational):
-        return str(value), str(value)
-    return rational_str(value), rational_str(value)
+        return list(map(str, value)) if as_json else " ".join(map(str, value))
+    return str(value) if isinstance(value, fam.ScaledRational) else rational_str(value)
 
 
 def _real(value):
@@ -207,14 +206,14 @@ def cmd_table(args) -> int:
         payload = {
             "family": args.family,
             "params": _param_obj(alpha=alpha, l=args.l, lam=lam),
-            "rows": [{"n": n, "value": _value_strings(v)[1]} for n, v in enumerate(values)],
+            "rows": [{"n": n, "value": _cell(v, True)} for n, v in enumerate(values)],
         }
         _write_json(payload)
     elif args.format == "csv":
-        sys.stdout.write(_emit_csv([[str(n), _value_strings(v)[0]] for n, v in enumerate(values)]))
+        sys.stdout.write(_emit_csv([[str(n), _cell(v, False)] for n, v in enumerate(values)]))
     else:
         for n, v in enumerate(values):
-            sys.stdout.write(f"{n}\t{_value_strings(v)[0]}\n")
+            sys.stdout.write(f"{n}\t{_cell(v, False)}\n")
     return 0
 
 

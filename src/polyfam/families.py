@@ -33,17 +33,11 @@ from math import floor
 from typing import Callable
 
 from .poly import Poly
-from .rationals import DomainError, binomial, factorial, rational_str
+from .rationals import DomainError, _ratio, binomial, factorial, rational_str
 from .series import Series, _numerators, binomial_power, expm1_over_t
 from .stirling import _FIRST, _SECOND, stirling2
 
 Rat = Fraction
-
-
-def _ratio(x) -> tuple[int, int]:
-    """(numerator, denominator) of a rational argument in lowest terms; an
-    int or a Fraction is read as it is, anything else through Fraction()."""
-    return (x if isinstance(x, (int, Fraction)) else Fraction(x)).as_integer_ratio()
 
 
 # ---------------------------------------------------------------------------
@@ -132,13 +126,14 @@ def fubini(n: int) -> Rat:
 
 @lru_cache(maxsize=None)
 def general_geometric(n: int, alpha: Rat) -> Poly:
-    """w_{n,a}(x) = sum_k {n,k} C(a+k-1, k) k! x^k for rational a > 0; the
-    rising factorial C(a+k-1, k) k! = a(a+1)...(a+k-1) is carried across k."""
-    alpha = Fraction(alpha)
-    if alpha <= 0:
+    """w_{n,alpha}(x) = sum_k {n,k} C(alpha+k-1, k) k! x^k for rational
+    alpha > 0.  For alpha = a/b the rising factorial C(alpha+k-1, k) k! is
+    a(a+b)...(a+(k-1)b)/b^k; its integer numerator is carried across k."""
+    a, b = _ratio(alpha)
+    if a <= 0:
         raise DomainError(f"general geometric polynomials need alpha > 0, got {alpha}")
-    rising = list(accumulate(range(n), lambda r, k: r * (alpha + k), initial=Fraction(1)))
-    return Poly([stirling2(n, k) * rising[k] for k in range(n + 1)])
+    rising = accumulate(range(n), lambda r, k: r * (a + k * b), initial=1)
+    return Poly([Fraction(stirling2(n, k) * r, b**k) for k, r in enumerate(rising)])
 
 
 def euler_classical(n: int) -> Rat:

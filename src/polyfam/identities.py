@@ -632,7 +632,9 @@ def _connection_bernoulli(n: int, l: int, lam: Fraction) -> tuple[Pair, ...]:
 
 @lru_cache(maxsize=None)
 def _connection_classical(n: int, alpha: Fraction, l: int) -> tuple[Pair, ...]:
-    return (("euler-value", fam.geometric_poly(n)(F(-1, 2)), fam.euler_classical(n)),) if alpha == l == 1 else ()
+    if alpha == l == 1:
+        return (("euler-value", fam.geometric_poly(n)(F(-1, 2)), fam.apostol_euler_mantissa(n, 1, 1)),)
+    return ()
 
 
 @lru_cache(maxsize=None)
@@ -652,8 +654,11 @@ def _theorem_euler(n: int, m: int, alpha: Fraction, lam: Fraction) -> tuple[Pair
     _need_euler_domain(lam)
     if lam == 0:
         raise SkipDomain("lambda=0: reciprocal parameter undefined")
+    binom = gen_binomial(alpha + m - 1, m)
+    if binom == 0:
+        raise SkipDomain("alpha in {0, -1, ..., 1-m}: the right side divides by C(alpha+m-1, m) = 0")
     lhs_e = fam.euler_prefactor_base(lam) ** m * fam.apostol_euler_poly_mantissa(n, alpha + m, F(m), lam)
-    rhs_e = (F(2) / lam) ** m / factorial(m) / gen_binomial(alpha + m - 1, m) * _euler_stirling1_sum(n, m, alpha, lam)
+    rhs_e = (F(2) / lam) ** m / factorial(m) / binom * _euler_stirling1_sum(n, m, alpha, lam)
     refl = _euler_reflection(n, alpha + m, alpha, lam)
     return (("euler-shift", lhs_e, rhs_e),) + ((("euler-reflection", *refl),) if refl else ())
 

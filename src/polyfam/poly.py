@@ -8,9 +8,10 @@ returns a new polynomial.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
-from .rationals import rational_str
+from .rationals import _ratio, rational_str
 
 
 def _strip(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
@@ -77,12 +78,16 @@ class Poly:
         return isinstance(other, Poly) and self._c == other._c
 
     def __call__(self, v: Fraction | int) -> Fraction:
-        """Exact Horner evaluation."""
-        acc = Fraction(0)
-        v = Fraction(v)
+        """Exact Horner evaluation in integers: for v = u/w and den the lcm of
+        the coefficient denominators, sum_k (c_k den) u^k w^(d-k) over
+        den w^d, made a Fraction once."""
+        u, w = _ratio(v)
+        den = lcm(*(c.denominator for c in self._c))
+        acc, wk = 0, 1  # wk = w^(d-k)
         for c in reversed(self._c):
-            acc = acc * v + c
-        return acc
+            acc = acc * u + c.numerator * (den // c.denominator) * wk
+            wk *= w
+        return Fraction(acc, den * w ** max(self.degree, 0))
 
     def derivative(self) -> "Poly":
         return Poly([i * c for i, c in enumerate(self._c)][1:])

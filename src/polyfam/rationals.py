@@ -44,6 +44,12 @@ def rational_str(value: Fraction | int) -> str:
     return str(Fraction(value))
 
 
+def _ratio(x) -> tuple[int, int]:
+    """(numerator, denominator) of a rational argument in lowest terms; an
+    int or a Fraction is read as it is, anything else through Fraction()."""
+    return (x if isinstance(x, (int, Fraction)) else Fraction(x)).as_integer_ratio()
+
+
 def factorial(n: int) -> int:
     if n < 0:
         raise DomainError(f"factorial requires n >= 0, got {n}")

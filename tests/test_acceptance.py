@@ -212,6 +212,40 @@ def _run_cli(*argv: str) -> subprocess.CompletedProcess:
 VERIFY_ALL_SECONDS = None
 VERIFY_ALL_SHA256 = "1a3d006f9e05edcc1ca5433e1bfa2a57a01b62bfcf04e566eb15cb7abcebc740"
 
+# sha256 of the stdout of `table --family <id> <args> --format <fmt>`
+TABLE_SHA256 = {
+    ("stirling2", "--n", "240"): {
+        "json": "a8bc98474a06a22c9c5fb001c6c0aaab8c9ad68c767783006514d717ea95b5c5",
+        "csv": "70c69864d3bac52d9db3039a1e27e8744fd97b0f080f8deec61a8c59ede81dd2",
+        "plain": "a990b284af9c985063dfa271e8ebfc4e39bfa6b75a7b0acce79fedbecf520a01",
+    },
+    ("stirling1-unsigned", "--n", "240"): {
+        "json": "316cdb8d95e09076d8cfacae99cc7572b42a035e3e54a9dfb6f60aa22913ee49",
+        "csv": "6a5cb2bf02aea8c54883875158750ffffa496e7640886ec91ab8609b2502cdf4",
+        "plain": "eaad492a1f7e2a35d962344e6d07647aaa184727375a1d31467171ec572b5223",
+    },
+    ("exponential-poly", "--n", "80"): {
+        "json": "87d856ed935a3e0000747585beb862b3e1fa26ad496b0cfbdae032766dc03a17",
+        "csv": "92c65ed3e29df88948de233c35582a5f80195e947ef5b83e73ff2b902d9c73ef",
+        "plain": "2b080f565e71b1171519c0f8df7e3a11dd970a91572a55bb879dfa48c97ceb6c",
+    },
+    ("general-geometric", "--n", "80", "--alpha=5/2"): {
+        "json": "df9161527e924ef1f0d83c07dd5debcb8ad7793cff73dfef52806ec28c2e6e82",
+        "csv": "1f7ab12d37a6a7da7399e305b4571e1c1d6d42ffb455ba8b4f1101a331e32118",
+        "plain": "ac2db496184c3b8a7c2de3f97f0e46f1f8255baca37aa6df109c0c2cd28fbd58",
+    },
+    ("bell", "--n", "80"): {
+        "json": "090a63848087208d70052477ff74b5d1e5a6398bfc3975667f63eb5603a6c0e2",
+        "csv": "a5d281fbdf708c543f4967e73d78977a321e4faa8debd5c6a31685853663419d",
+        "plain": "40a4fb7e82aa91ec8f603caf7e61f4080a4b051f1a0f09e5b36b5c373a2380ba",
+    },
+    ("euler-classical", "--n", "80"): {
+        "json": "bb18dd021168272daf6fcc84b60d9cb0b8ebc42984a48d0ee72d4d1c751ffdfb",
+        "csv": "e0cd35a3c2acb5dd33e0385fa6307921b13df6f5ca5e787053cc1c1e27bca978",
+        "plain": "e493fa9959890a21d3fbff6b6b8833909135c1e2da15fd65a7d979b4d020821b",
+    },
+}
+
 
 def test_criterion_09_determinism_and_exit_codes():
     global VERIFY_ALL_SECONDS
@@ -238,6 +272,15 @@ def test_criterion_09_determinism_and_exit_codes():
         domain = _run_cli("table", "--family", "apostol-bernoulli-higher",
                           "--l", "2", "--lambda", "1", "--n", "4")
         assert domain.returncode == 2
+
+
+def test_criterion_09_table_bytes():
+    with _Budget("9 table bytes", 120.0):
+        for (family, *args), want in TABLE_SHA256.items():
+            for fmt, digest in want.items():
+                proc = _run_cli("table", "--family", family, *args, "--format", fmt)
+                assert proc.returncode == 0
+                assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest, (family, fmt)
 
 
 def test_criterion_10_full_run_under_a_minute():

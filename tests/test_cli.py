@@ -326,3 +326,13 @@ def test_plain_verify_output_mentions_skips(capsys):
     assert "skipped-domain" in out
     assert "lambda=1 not in domain" in out
     assert out.strip().splitlines()[-1].startswith("pass=")
+
+
+@pytest.mark.parametrize("alpha, nmax, mmax", [("0", "2", "2"), ("-1", "1", "2"), ("-2", "1", "3")])
+def test_shift_theorem_skips_orders_where_its_binomial_vanishes(capsys, alpha, nmax, mmax):
+    # C(alpha+m-1, m) = 0 at alpha in {0, -1, ..., 1-m}, and the Euler side divides by it
+    code, out, _ = run_cli(capsys, "verify", "--id", "poly-shift-theorem", f"--alpha={alpha}",
+                           "--nmax", nmax, "--mmax", mmax)
+    assert code == 0
+    skipped = [line for line in out.splitlines() if line.startswith("skipped-domain")]
+    assert skipped and all(line.endswith("C(alpha+m-1, m) = 0)") for line in skipped)

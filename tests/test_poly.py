@@ -42,6 +42,24 @@ def test_eval_matches_power_sum(p, v):
     assert p(v) == sum((c * v**i for i, c in enumerate(p.coeffs)), F(0))
 
 
+def _fraction_horner(coeffs, v):
+    acc = F(0)
+    for c in reversed(coeffs):
+        acc = acc * v + c
+    return acc
+
+
+# coefficient lists, the empty one too, with up to three trailing zeros
+padded = st.builds(lambda c, z: c + [F(0)] * z, st.lists(coeff, max_size=9), st.integers(0, 3))
+
+
+@given(padded, st.integers(-50, 50) | coeff)
+def test_integer_horner_matches_fraction_horner(coeffs, v):
+    got = Poly(coeffs)(v)
+    assert got == _fraction_horner(coeffs, F(v))
+    assert type(got) is F
+
+
 def test_eval_series_examples():
     t = Series.t(4)
     p = Poly([0, 1, 1])  # x + x^2

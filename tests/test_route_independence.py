@@ -91,6 +91,7 @@ MUTATIONS = {
     "Series.exp coefficient 2 + 1": (Series, "exp", lambda f: _bumped(f, 2, 1)),
     "_bernoulli_row B_1 numerator + 1": (fam, "_bernoulli_row", _bernoulli_row),
     "general_geometric x^2 coefficient + 1": (fam, "general_geometric", _general_geometric),
+    "Poly.__call__ value + 1": (Poly, "__call__", lambda f: lambda self, v: f(self, v) + 1),
 }
 # Stirling triangle entries edited in place: (table, n, k)
 ROW_EDITS = {
@@ -99,6 +100,10 @@ ROW_EDITS = {
 }
 
 CAUGHT_BY = {
+    "Poly.__call__ value + 1": {
+        "apostol-bernoulli-classical", "fubini-explicit", "gf-phi-base", "gf-phi-shift", "gf-w-base",
+        "gf-w-shift", "w-connections",
+    },
     "Series.__mul__ product coefficient 2 + 1": {
         "apostol-bernoulli-explicit", "apostol-bernoulli-recurrence", "apostol-euler-explicit",
         "aux-srivastava-luo", "bernoulli-higher-recurrence", "diag-bernoulli-values",
