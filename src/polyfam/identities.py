@@ -8,15 +8,21 @@ domain are reported ``skipped-domain`` with the reason, never silently passed.
 
 An identity whose sides read different grid axes (an Euler side of order alpha
 beside a Bernoulli side of order l) is declared by its halves instead:
-``_halves((fn, keys), ...)`` calls each cached ``fn`` with the point's values
-of ``keys`` and joins their pairs in order, so a half runs once per distinct
-value of its keys, whatever the axes it ignores.  A half that raises
-SkipDomain stops the halves after it, so a domain guard goes in the first.
+``_halves((fn, keys), ...)`` joins, in order, the pairs each ``fn`` gives at
+the point's values of ``keys``.  One memo (_rendered_half) holds each half's
+pairs with their verdict and rendered ``label=value`` segments, so a half is
+computed, compared and rendered once per distinct value of its keys, whatever
+the axes it ignores.  A half that raises SkipDomain stops the halves after it,
+so a domain guard goes in the first.
 
-The runner evaluates each identity's grid points one after another, in one
-process or, at jobs > 1, one identity per worker process, and merges reports
-in canonical order (identity id, then the lexicographic grid-point key), so
-its output is deterministic at any job count.
+The runner enumerates each identity's grid in canonical order (identity id,
+then the lexicographic key of the rendered parameters), rendering each axis
+value once, and evaluates the points one after another, in one process or, at
+jobs > 1, one identity per worker process; output is the same at any job
+count.  A check declared by halves hands back the joined verdict and strings
+with its pairs.  Every other check's pairs are compared and rendered per
+point, and so are a split check's under --perturb, which edits its fresh pair
+list and never the memo.
 
 Sums over family values run in integers and build one Fraction at the end:
 with alpha = a/b and lam = p/q, an Euler-side sum is one integer over a power
@@ -31,8 +37,8 @@ import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import product
 from math import lcm, prod
+from operator import itemgetter
 from typing import Callable
 
 from . import families as fam
@@ -108,12 +114,21 @@ SLOTS: dict[str, Callable[[GridConfig], list[dict]]] = {
 }
 
 
+def _points(slots: tuple[str, ...], grid: GridConfig) -> list[tuple[dict, dict[str, str]]]:
+    """The product of the named axes as (values, rendered params) per point,
+    each axis value rendered once.  Each axis is ordered by its rendering and
+    the axes by their keys, which no two interleave, so the points come in
+    canonical order and their params in sorted key order."""
+    points = [((), ())]
+    for axis in sorted([tuple(sorted(part.items())) for part in SLOTS[slot](grid)] for slot in slots):
+        rendered = sorted(((v, tuple((k, rational_str(x)) for k, x in v)) for v in axis), key=itemgetter(1))
+        points = [(v + av, r + ar) for v, r in points for av, ar in rendered]
+    return [(dict(v), dict(r)) for v, r in points]
+
+
 def grid_points(slots: tuple[str, ...], grid: GridConfig) -> list[dict]:
     """The product of the named axes, one parameter dict per point."""
-    return [
-        {k: v for part in parts for k, v in part.items()}
-        for parts in product(*(SLOTS[slot](grid) for slot in slots))
-    ]
+    return [pt for pt, _ in _points(slots, grid)]
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +231,11 @@ def _sum_over_lcm(terms) -> Fraction:
 def _need_euler_domain(lam: Fraction) -> None:
     if lam == -1:
         raise SkipDomain("lambda=-1 is a pole of the Euler-type families")
+
+
+def _need_geometric_domain(alpha: Fraction) -> None:
+    if alpha <= 0:
+        raise SkipDomain("alpha <= 0: general geometric polynomials need alpha > 0")
 
 
 def _need_apostol_bernoulli_domain(lam: Fraction) -> None:
@@ -330,6 +350,7 @@ def _chk_gf_phi_base(pt, grid) -> list[Pair]:
 
 def _chk_gf_w_shift(pt, grid) -> list[Pair]:
     m, alpha, x = pt["m"], pt["alpha"], pt["x"]
+    _need_geometric_domain(alpha)
     order = grid.order
     # (1 - x(e^t - 1))^(-alpha) is the base series itself
     rhs = fam.gf_general_geometric(x, alpha, order) * _eval_at(
@@ -340,6 +361,7 @@ def _chk_gf_w_shift(pt, grid) -> list[Pair]:
 
 def _chk_gf_w_base(pt, grid) -> list[Pair]:
     alpha, x = pt["alpha"], pt["x"]
+    _need_geometric_domain(alpha)
     order = grid.order
     lhs = _euler_series_lhs(lambda n: fam.general_geometric(n, alpha)(x), order)
     return [("", lhs, fam.gf_general_geometric(x, alpha, order))]
@@ -348,6 +370,7 @@ def _chk_gf_w_base(pt, grid) -> list[Pair]:
 def _chk_gf_apostol_euler_shift(pt, grid) -> list[Pair]:
     m, alpha, lam = pt["m"], pt["alpha"], pt["lambda"]
     _need_euler_domain(lam)
+    _need_geometric_domain(alpha)
     order = grid.order
     # ((lam+1)/(lam e^t + 1))^alpha is the mantissa series itself
     rhs = fam.gf_apostol_euler_mantissa(alpha, lam, order) * _eval_at(
@@ -393,6 +416,7 @@ def _chk_gf_apostol_bernoulli_shift(pt, grid) -> list[Pair]:
 
 def _chk_w_general_recurrence(pt, grid) -> list[Pair]:
     n, m, alpha = pt["n"], pt["m"], pt["alpha"]
+    _need_geometric_domain(alpha)
     lhs = fam.general_geometric(n + m, alpha)
     coeffs = [F(0)] * (n + m + 1)
     rising = F(1)  # alpha(alpha+1)...(alpha+k-1), carried across k
@@ -514,7 +538,7 @@ def _chk_apostol_euler_explicit(pt, grid) -> list[Pair]:
     pairs: list[Pair] = [
         ("mantissa-series", lhs, fam.gf_apostol_euler_mantissa(alpha, lam, order).egf_coeff(m))
     ]
-    if alpha.denominator == 1:
+    if alpha.denominator == 1 and alpha >= 1:
         plain = fam.euler_prefactor_base(lam) ** alpha * lhs
         pairs.append(("plain-series", plain, fam.gf_apostol_euler(int(alpha), lam, order).egf_coeff(m)))
     return pairs
@@ -604,24 +628,40 @@ def _chk_apostol_bernoulli_classical(pt, grid) -> list[Pair]:
 # Bernoulli side, and _euler_reflection with aux-euler-reflection.  The sums
 # read the cached integer kernels of families.
 
-def _halves(*halves: tuple[Callable[..., tuple[Pair, ...]], tuple[str, ...]]):
-    """The check joining the pairs of each (half, keys) in order, in a fresh list that --perturb may edit."""
-    def check(pt: dict, grid: GridConfig) -> list[Pair]:
-        return [pair for half, keys in halves for pair in half(*(pt[k] for k in keys))]
-    return check
+class _Rendered(list):
+    """A pair list with its verdict and rendered sides, as _render gives them, in .rendered."""
 
 
 @lru_cache(maxsize=None)
+def _rendered_half(half: Callable[..., tuple[Pair, ...]], values: tuple) -> tuple:
+    pairs = half(*values)
+    return pairs, *_render(pairs)
+
+
+def _halves(*halves: tuple[Callable[..., tuple[Pair, ...]], tuple[str, ...]]):
+    """The check joining the labelled pairs of each (half, keys of two or more)
+    in order, in a fresh list that --perturb may edit, rendered by the join of
+    the halves' memos."""
+    getters = [(half, itemgetter(*keys)) for half, keys in halves]
+
+    def check(pt: dict, grid: GridConfig) -> list[Pair]:
+        parts = [p for half, get in getters if (p := _rendered_half(half, get(pt)))[0]]
+        pairs = _Rendered(pair for p in parts for pair in p[0])
+        pairs.rendered = all(p[1] for p in parts), "; ".join(p[2] for p in parts), "; ".join(p[3] for p in parts)
+        return pairs
+    return check
+
+
 def _connection_euler(n: int, alpha: Fraction, lam: Fraction) -> tuple[Pair, ...]:
     if lam == -1:
         return ()
+    _need_geometric_domain(alpha)
     # mantissa form: the (lam+1)/2 powers cancel exactly
     return (("euler-connection",
              fam.general_geometric(n, alpha)(-lam / (lam + 1)),
              fam.apostol_euler_mantissa(n, alpha, lam)),)
 
 
-@lru_cache(maxsize=None)
 def _connection_bernoulli(n: int, l: int, lam: Fraction) -> tuple[Pair, ...]:
     if lam == 1:
         return ()
@@ -630,26 +670,22 @@ def _connection_bernoulli(n: int, l: int, lam: Fraction) -> tuple[Pair, ...]:
              (lam - 1) ** l / factorial(l) / binomial(n + l, l) * fam.apostol_bernoulli_higher(n + l, l, lam)),)
 
 
-@lru_cache(maxsize=None)
 def _connection_classical(n: int, alpha: Fraction, l: int) -> tuple[Pair, ...]:
     if alpha == l == 1:
         return (("euler-value", fam.geometric_poly(n)(F(-1, 2)), fam.apostol_euler_mantissa(n, 1, 1)),)
     return ()
 
 
-@lru_cache(maxsize=None)
 def _prop_euler(n: int, m: int, alpha: Fraction, lam: Fraction) -> tuple[Pair, ...]:
     _need_euler_domain(lam)
     return (("euler-shift", fam.apostol_euler_mantissa(n + m, alpha, lam), _euler_shift_sum(n, m, alpha, lam)),)
 
 
-@lru_cache(maxsize=None)
 def _prop_bernoulli(n: int, m: int, l: int, lam: Fraction) -> tuple[Pair, ...]:
     lhs = _bern(n + m + l, l, lam) / binomial(n + m + l, l)
     return (("bernoulli-shift", lhs, l * _bernoulli_shift_sum(n, m, l, lam)),)
 
 
-@lru_cache(maxsize=None)
 def _theorem_euler(n: int, m: int, alpha: Fraction, lam: Fraction) -> tuple[Pair, ...]:
     _need_euler_domain(lam)
     if lam == 0:
@@ -663,7 +699,6 @@ def _theorem_euler(n: int, m: int, alpha: Fraction, lam: Fraction) -> tuple[Pair
     return (("euler-shift", lhs_e, rhs_e),) + ((("euler-reflection", *refl),) if refl else ())
 
 
-@lru_cache(maxsize=None)
 def _theorem_bernoulli(n: int, m: int, l: int, lam: Fraction) -> tuple[Pair, ...]:
     lhs_b = _bern_poly(n + m + l, m + l, m, lam)
     rhs_b = F(l + m, l) / lam**m * binomial(n + m + l, n) * _bernoulli_stirling1_sum(n, m, l, lam)
@@ -671,14 +706,12 @@ def _theorem_bernoulli(n: int, m: int, l: int, lam: Fraction) -> tuple[Pair, ...
     return (("bernoulli-shift", lhs_b, rhs_b), ("bernoulli-reflection", lhs_b, refl_b))
 
 
-@lru_cache(maxsize=None)
 def _finite_sums_euler(m: int, alpha: Fraction, lam: Fraction) -> tuple[Pair, ...]:
     _need_euler_domain(lam)
     rhs = lam**m * factorial(m) / (lam + 1) ** m * gen_binomial(alpha + m - 1, m)
     return (("euler-sum", _euler_stirling1_sum(0, m, alpha, lam), rhs),)
 
 
-@lru_cache(maxsize=None)
 def _finite_sums_bernoulli(m: int, l: int, lam: Fraction) -> tuple[Pair, ...]:
     """The right side over a power of d = p - q: lam^m/(lam-1)^(m+l) = p^m q^l/d^(m+l)."""
     if lam == 1:
@@ -714,6 +747,8 @@ def _chk_aux_wang(pt, grid) -> list[Pair]:
 
 def _chk_aux_srivastava_luo(pt, grid) -> list[Pair]:
     n, alpha, lam, x = pt["n"], int(pt["alpha"]), pt["lambda"], pt["x"]
+    if alpha < 1:
+        raise SkipDomain("alpha < 1: the Bernoulli-type order alpha must be a positive integer")
     lhs = alpha * lam * _bern_poly(n, alpha + 1, x + 1, lam)
     rhs = (n * x * _bern_poly(n - 1, alpha, x, lam) if n else F(0)) + (alpha - n) * _bern_poly(n, alpha, x, lam)
     return [("", lhs, rhs)]
@@ -817,9 +852,16 @@ def _perturb_value(v, rng: random.Random):
     raise TypeError(f"cannot perturb {type(v).__name__}")
 
 
-def _evaluate_point(identity: Identity, pt: dict, grid: GridConfig,
+def _render(pairs) -> tuple[bool, str, str]:
+    """The verdict (every pair equal) and the rendered lhs and rhs of a pair list."""
+    if len(pairs) == 1 and pairs[0][0] == "":
+        return pairs[0][1] == pairs[0][2], str(pairs[0][1]), str(pairs[0][2])
+    return (all(lhs == rhs for _, lhs, rhs in pairs),
+            "; ".join(f"{lb}={lv}" for lb, lv, _ in pairs), "; ".join(f"{lb}={rv}" for lb, _, rv in pairs))
+
+
+def _evaluate_point(identity: Identity, pt: dict, params: dict[str, str], grid: GridConfig,
                     perturb: bool, timing: bool) -> IdentityReport:
-    params = {k: rational_str(pt[k]) for k in sorted(pt)}
     started = time.perf_counter() if timing else 0.0
     try:
         pairs = identity.check(pt, grid)
@@ -834,14 +876,9 @@ def _evaluate_point(identity: Identity, pt: dict, grid: GridConfig,
             pairs[idx] = (label, _perturb_value(lhs, rng), rhs)
         else:
             pairs[idx] = (label, lhs, _perturb_value(rhs, rng))
-    status = "pass" if all(lhs == rhs for _, lhs, rhs in pairs) else "fail"
-    if len(pairs) == 1 and pairs[0][0] == "":
-        lhs_s, rhs_s = str(pairs[0][1]), str(pairs[0][2])
-    else:
-        lhs_s = "; ".join(f"{lb}={lv}" for lb, lv, _ in pairs)
-        rhs_s = "; ".join(f"{lb}={rv}" for lb, _, rv in pairs)
+    ok, lhs_s, rhs_s = pairs.rendered if isinstance(pairs, _Rendered) and not perturb else _render(pairs)
     micros = int((time.perf_counter() - started) * 1e6) if timing else 0
-    return IdentityReport(identity.id, params, status, lhs_s, rhs_s, micros)
+    return IdentityReport(identity.id, params, "pass" if ok else "fail", lhs_s, rhs_s, micros)
 
 
 def get_identity(identity_id: str) -> Identity:
@@ -870,8 +907,9 @@ def _run_block(identity_id: str, grid: GridConfig, perturb: bool,
     lambda degree bound."""
     identity = get_identity(identity_id)
     pt_grid, bound = identity_grid_for(identity, grid)
-    reports = [_evaluate_point(identity, pt, pt_grid, perturb, timing)
-               for pt in grid_points(identity.slots, pt_grid)]
+    reports = [_evaluate_point(identity, pt, params, pt_grid, perturb, timing)
+               for pt, params in _points(identity.slots, pt_grid)]
+    # _points gives canonical order unless an axis repeats a value: the sort is a linear pass that guards it
     return identity_id, (sorted(reports, key=IdentityReport.sort_key), bound)
 
 

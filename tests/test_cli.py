@@ -336,3 +336,30 @@ def test_shift_theorem_skips_orders_where_its_binomial_vanishes(capsys, alpha, n
     assert code == 0
     skipped = [line for line in out.splitlines() if line.startswith("skipped-domain")]
     assert skipped and all(line.endswith("C(alpha+m-1, m) = 0)") for line in skipped)
+
+
+GEOMETRIC_IDS = {"gf-apostol-euler-shift", "gf-w-base", "gf-w-shift", "w-connections", "w-general-recurrence"}
+PASSING_AT_ALPHA_0 = {"apostol-euler-recurrence", "aux-euler-reflection", "aux-wang", "finite-sums", "poly-shift-prop"}
+
+
+@pytest.mark.parametrize("alphas", ["0", "-1/2,-2"])
+def test_verify_all_skips_the_orders_a_route_cannot_take(capsys, alphas):
+    # only the routes that need alpha > 0 (or an integer order >= 1) refuse, point by point
+    code, out, err = run_cli(capsys, "verify", "--all", f"--alpha={alphas}", "--nmax", "2", "--mmax", "2",
+                             "--gf-mmax", "1", "--order", "4", "--format", "json")
+    assert code == 0 and err == ""
+    reports = json.loads(out)["reports"]
+    by_id = {}
+    for r in reports:
+        by_id.setdefault(r["id"], []).append(r)
+    for identity_id in GEOMETRIC_IDS:
+        assert {r.get("reason") for r in by_id[identity_id]} == {
+            "alpha <= 0: general geometric polynomials need alpha > 0"}, identity_id
+    assert {r.get("reason") for r in by_id["aux-srivastava-luo"]} == {
+        "alpha < 1: the Bernoulli-type order alpha must be a positive integer"}
+    explicit = by_id["apostol-euler-explicit"]
+    assert {r["status"] for r in explicit} == {"pass"}
+    assert not any("plain-series" in r["lhs"] for r in explicit)
+    if alphas == "0":
+        for identity_id in PASSING_AT_ALPHA_0:
+            assert {r["status"] for r in by_id[identity_id]} == {"pass"}, identity_id

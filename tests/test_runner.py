@@ -1,0 +1,86 @@
+"""The runner's enumeration and half memo: each block comes out in canonical
+order and agrees with a plain per-point path, and --perturb never reaches the
+memo's cached pairs, verdicts or strings."""
+
+import json
+from collections import Counter
+from fractions import Fraction as F
+from itertools import product
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from polyfam import cli, identities
+from polyfam.identities import (
+    REGISTRY, SLOTS, GridConfig, IdentityReport, SkipDomain, _points, _run_block, identity_grid_for,
+)
+from polyfam.rationals import rational_str
+
+# values whose string order differs from their numeric order ("10" < "2",
+# "-3" < "1/3"), duplicates allowed
+values = st.lists(st.sampled_from([F(10), F(2), F(-3), F(1, 3)]), min_size=1, max_size=3)
+
+
+def reference_block(identity_id: str, grid: GridConfig) -> list[IdentityReport]:
+    """Per point: merge the axes, render the params, evaluate the check, compare
+    and render its pairs; then sort."""
+    identity = REGISTRY[identity_id]
+    reports = []
+    for parts in product(*(SLOTS[slot](grid) for slot in identity.slots)):
+        pt = {k: v for part in parts for k, v in part.items()}
+        params = {k: rational_str(pt[k]) for k in sorted(pt)}
+        try:
+            pairs = list(identity.check(pt, grid))
+        except SkipDomain as skip:
+            reports.append(IdentityReport(identity_id, params, "skipped-domain", "", "", 0, skip.reason))
+            continue
+        status = "pass" if all(lhs == rhs for _, lhs, rhs in pairs) else "fail"
+        if len(pairs) == 1 and pairs[0][0] == "":
+            lhs_s, rhs_s = str(pairs[0][1]), str(pairs[0][2])
+        else:
+            lhs_s = "; ".join(f"{lb}={lv}" for lb, lv, _ in pairs)
+            rhs_s = "; ".join(f"{lb}={rv}" for lb, _, rv in pairs)
+        reports.append(IdentityReport(identity_id, params, status, lhs_s, rhs_s, 0))
+    return sorted(reports, key=IdentityReport.sort_key)
+
+
+@settings(max_examples=20)
+@given(lambdas=values, alphas=values, xs=values)
+def test_blocks_enumerate_in_canonical_order_and_match_a_per_point_path(lambdas, alphas, xs):
+    grid = GridConfig(nmax=1, mmax=2, nm_sum=2, gf_mmax=1, ls=(2, 1),
+                      int_alphas=tuple(int(a) for a in alphas if a.denominator == 1),
+                      frac_alphas=tuple(a for a in alphas if a.denominator != 1),
+                      lambdas=tuple(lambdas), xs=tuple(xs), order=4)
+    # a repeated value repeats the axes after it out of order, which the sort in _run_block mends
+    distinct = all(len(set(vs)) == len(vs) for vs in (lambdas, alphas, xs))
+    for identity_id, identity in REGISTRY.items():
+        pt_grid = identity_grid_for(identity, grid)[0]
+        params = [params for _, params in _points(identity.slots, pt_grid)]
+        assert all(list(p) == sorted(p) for p in params), identity_id
+        keys = [tuple(p.items()) for p in params]
+        assert keys == sorted(keys) or not distinct, identity_id
+        reports = _run_block(identity_id, grid, False, False)[1][0]
+        expected = reference_block(identity_id, pt_grid)
+        assert reports == expected, identity_id
+        assert [list(r.params.items()) for r in reports] == [list(r.params.items()) for r in expected]
+
+
+REDUCED = ["--nmax", "2", "--mmax", "2", "--gf-mmax", "1", "--order", "6",
+           "--lambda", "7,-2/3,1", "--alpha", "3,2/3", "--l", "1,3", "--x", "2"]
+
+
+def verify_statuses(capsys, *flags) -> Counter:
+    code = cli.main(["verify", "--all", *REDUCED, "--format", "json", *flags])
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert code == (1 if "--perturb" in flags else 0)
+    return Counter(r["status"] for r in reports)
+
+
+def test_perturb_then_plain_then_perturb_in_one_process(capsys):
+    identities._rendered_half.cache_clear()  # so the perturbed run fills the memo
+    first = verify_statuses(capsys, "--perturb")
+    plain = verify_statuses(capsys)
+    second = verify_statuses(capsys, "--perturb")
+    assert set(first) == {"fail", "skipped-domain"}
+    assert plain == {"pass": first["fail"], "skipped-domain": first["skipped-domain"]}
+    assert second == first
