@@ -33,11 +33,12 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 
 def _rational_list(text: str) -> list[Fraction]:
-    """Comma-separated rationals; an empty part is an error, not an empty axis."""
+    """Comma-separated rationals, a repeated value kept once (the first); an
+    empty part is an error, not an empty axis."""
     parts = text.split(",")
     if not all(part.strip() for part in parts):
         raise DomainError(f"empty value in list {text!r}")
-    return [parse_rational(part) for part in parts]
+    return list(dict.fromkeys(map(parse_rational, parts)))
 
 
 def _int_list(text: str) -> list[int]:

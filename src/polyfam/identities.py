@@ -37,13 +37,14 @@ import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import lcm, prod
+from math import prod
 from operator import itemgetter
 from typing import Callable
 
 from . import families as fam
 from .poly import Poly, poly_from_terms
 from .rationals import binomial, factorial, gen_binomial, rational_str
+from .rationals import sum_over_lcm as _sum_over_lcm
 from .series import Series, linear_combination
 from .stirling import stirling1_unsigned, stirling2
 
@@ -217,15 +218,6 @@ def _bern_poly_pair(n: int, l: int, k: int, lam: Fraction) -> tuple[int, int]:
         return fam.bernoulli_higher_poly(n, l, k).as_integer_ratio()
     p, q = lam.as_integer_ratio()
     return fam._apostol_bernoulli_poly_num(n, l, p, q, k, 1), (p - q) ** n
-
-
-def _sum_over_lcm(terms) -> Fraction:
-    """The sum of num/den over (num, den) integer pairs as one integer over the
-    lcm of the dens, made a Fraction once: a single gcd for the whole sum
-    (Henrici's rule; Knuth, TAOCP Vol. 2, 4.5.1)."""
-    terms = [(num, den) for num, den in terms if num]
-    den = lcm(*(d for _, d in terms))
-    return F(sum(num * (den // d) for num, d in terms), den)
 
 
 def _need_euler_domain(lam: Fraction) -> None:

@@ -50,6 +50,15 @@ def _ratio(x) -> tuple[int, int]:
     return (x if isinstance(x, (int, Fraction)) else Fraction(x)).as_integer_ratio()
 
 
+def sum_over_lcm(terms) -> Fraction:
+    """The sum of num/den over (num, den) integer pairs as one integer over the
+    lcm of the dens, made a Fraction once: a single gcd for the whole sum
+    (Henrici's rule; Knuth, TAOCP Vol. 2, 4.5.1)."""
+    terms = [(num, den) for num, den in terms if num]
+    den = math.lcm(*(d for _, d in terms))
+    return Fraction(sum(num * (den // d) for num, d in terms), den)
+
+
 def factorial(n: int) -> int:
     if n < 0:
         raise DomainError(f"factorial requires n >= 0, got {n}")

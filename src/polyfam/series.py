@@ -7,9 +7,11 @@ silently.
 
 A product convolves integer numerators, each operand scaled to the lcm of its
 denominators, and builds one Fraction per output coefficient (Knuth, TAOCP
-Vol. 2, 4.7).  The inverse, exp and binomial_power recurrences stay per
-coefficient: each step divides by a new index, so one denominator for a whole
-series would grow with the order.
+Vol. 2, 4.7).  Step i of the inverse, exp and binomial_power recurrences sums
+its terms, the step's factor folded into each, as one integer over the lcm of
+their own denominators, and stores the coefficient in lowest terms.  A single
+denominator for the whole series would grow with the order, since each step
+divides by a new index.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from math import factorial, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-from .rationals import DomainError, rational_str
+from .rationals import DomainError, rational_str, sum_over_lcm
 
 
 class Series:
@@ -117,30 +119,29 @@ class Series:
         return out
 
     def inverse(self) -> "Series":
-        """Multiplicative inverse; requires a nonzero constant term."""
+        """Multiplicative inverse; requires a nonzero constant term.  Step i sums
+        (-c_k/c_0) f_{i-k} over k = 1..i as one integer over the lcm of its terms."""
         if self._c[0] == 0:
             raise DomainError("series with zero constant term has no inverse")
-        n = self._order
-        out = [Fraction(0)] * (n + 1)
-        out[0] = 1 / self._c[0]
-        for i in range(1, n + 1):
-            acc = Fraction(0)
-            for k in range(1, i + 1):
-                if self._c[k]:
-                    acc += self._c[k] * out[i - k]
-            out[i] = -acc / self._c[0]
-        return Series(out, n)
+        a, b = self._c[0].as_integer_ratio()
+        w = [(-b * num, a * den) for num, den in map(Fraction.as_integer_ratio, self._c)]
+        out, f = [1 / self._c[0]], []
+        for i in range(1, self._order + 1):
+            f.append(out[-1].as_integer_ratio())
+            out.append(sum_over_lcm((wn * fn, wd * fd) for (wn, wd), (fn, fd) in zip(w[i:0:-1], f)))
+        return Series(out, self._order)
 
     def exp(self) -> "Series":
-        """exp(u), u_0 = 0, in O(order^2) from f' = u'f: i f_i = sum_k k u_k f_{i-k}."""
+        """exp(u), u_0 = 0, in O(order^2) from f' = u'f: step i sums (k u_k / i) f_{i-k}
+        over k = 1..i as one integer over the lcm of its terms."""
         if self._c[0] != 0:
             raise DomainError("series exponential needs a zero constant term")
-        n = self._order
-        ku = [k * c for k, c in enumerate(self._c)]
-        out = [Fraction(1)]
-        for i in range(1, n + 1):
-            out.append(sum((ku[k] * out[i - k] for k in range(1, i + 1) if ku[k]), Fraction(0)) / i)
-        return Series(out, n)
+        ku = [(k * num, den) for k, (num, den) in enumerate(map(Fraction.as_integer_ratio, self._c))]
+        out, f = [Fraction(1)], []
+        for i in range(1, self._order + 1):
+            f.append(out[-1].as_integer_ratio())
+            out.append(sum_over_lcm((un * fn, i * ud * fd) for (un, ud), (fn, fd) in zip(ku[i:0:-1], f)))
+        return Series(out, self._order)
 
     def derivative(self) -> "Series":
         if self._order == 0:
@@ -191,18 +192,19 @@ def binomial_power(a: Series, r: Fraction | int) -> Series:
     not rational, so it cannot live inside this module).
 
     J.C.P. Miller's recurrence (Knuth, TAOCP Vol. 2, 4.7), O(order^2): a f' = r a' f
-    gives i f_i = sum_{k=1..i} (k(r+1) - i) a_k f_{i-k}, with r = p/q summed as
-    integer weights k(p+q) - iq over iq.
+    gives i f_i = sum_{k=1..i} (k(r+1) - i) a_k f_{i-k}; for r = p/q step i sums
+    the terms, weighted (k(p+q) - iq)/(iq), as one integer over the lcm of their denominators.
     """
     if a.coeffs[0] != 1:
         raise DomainError("binomial_power needs constant term 1 (normalize first)")
     p, q = Fraction(r).as_integer_ratio()
-    n, c = a.order, a.coeffs
-    out = [Fraction(1)]
-    for i in range(1, n + 1):
-        terms = ((k * (p + q) - i * q) * c[k] * out[i - k] for k in range(1, i + 1) if c[k])
-        out.append(sum(terms, Fraction(0)) / (i * q))
-    return Series(out, n)
+    c = list(map(Fraction.as_integer_ratio, a.coeffs))
+    out, f = [Fraction(1)], []
+    for i in range(1, a.order + 1):
+        f.append(out[-1].as_integer_ratio())
+        terms = zip(range(i, 0, -1), c[i:0:-1], f)  # (k, a_k, f_{i-k}) for k = i..1
+        out.append(sum_over_lcm(((k * (p + q) - i * q) * an * fn, i * q * ad * fd) for k, (an, ad), (fn, fd) in terms))
+    return Series(out, a.order)
 
 
 def expm1_over_t(order: int) -> Series:

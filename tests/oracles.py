@@ -273,6 +273,17 @@ def binomial_power_by_sum(a: list[Fraction], r: Fraction) -> list[Fraction]:
     return out
 
 
+def inverse_by_recurrence(c: list[Fraction]) -> list[Fraction]:
+    """1/c from c_0 f_i = -sum_{k=1..i} c_k f_{i-k}, one Fraction operation per term."""
+    out = [1 / Fraction(c[0])]
+    for i in range(1, len(c)):
+        acc = Fraction(0)
+        for k in range(1, i + 1):
+            acc += c[k] * out[i - k]
+        out.append(-acc / c[0])
+    return out
+
+
 def exp_by_sum(u: list[Fraction]) -> list[Fraction]:
     """exp(u) = sum_j u^j / j! for u with zero constant term."""
     out = [Fraction(0)] * len(u)

@@ -246,6 +246,43 @@ TABLE_SHA256 = {
     },
 }
 
+# sha256 of the stdout of `series --gf <id> <args> --order 64 --format <fmt>`;
+# apostol-euler at a fractional alpha prints the prefactor line
+SERIES_SHA256 = {
+    ("exp-bell", "--x=2/3"): {
+        "json": "214542a4e8415a7150590f0a92423b0f51584016a7a2ff83cb38a0d70d988500",
+        "plain": "80d425af245e63bce0dc1c5ffa68b3a5a75ae94a1d823ee05bb6ebc44fe99630",
+    },
+    ("geometric", "--x=-1/2"): {
+        "json": "4c37b901b713588a9fed78ef8e49dd130013d23b385105fcc26b0b6b013fc1f7",
+        "plain": "1cfe2e29098df1ee56c783a6abae23fadf3efd2b84736bb63c205ce495539e48",
+    },
+    ("general-geometric", "--x=2/3", "--alpha=5/2"): {
+        "json": "c563c74d2c84ceec1f9a8f65be4c4c149fb5607aeba61e8418f4cbed035e0c57",
+        "plain": "0de1e8113439b11cf288fc38de910ce934bfd3c13578bb080dde5b5e19a51a51",
+    },
+    ("apostol-euler", "--alpha=3", "--lambda=1/3"): {
+        "json": "30d66511db4db816cc01fcb1b3167c71af6ab51a0beed55f288ded835a3ada11",
+        "plain": "fefa806ccc5ac9f3b51445a2a5d239fb411c0165314173f0d3636e1f29ae5069",
+    },
+    ("apostol-euler", "--alpha=5/2", "--lambda=2"): {
+        "json": "fcbc32641e935da96f404c316e7f90cdd2db757b85f87bb9a0a4279b3da6d6c3",
+        "plain": "2b112053bcaf846d5e1ef94a7416124aba3be86fa93bfcdd094d17607eb78138",
+    },
+    ("apostol-bernoulli", "--l=2", "--lambda=5"): {
+        "json": "9796cbfd04608dba1b29ef8fb86c0f85137c7eea3c093cf902e50208881fc7a6",
+        "plain": "4488fe66fe0ee19f91818f75030cb6b6257641884b83ae8a60cb52c69d3849ea",
+    },
+    ("bernoulli-higher", "--l=3"): {
+        "json": "bba8c10145589e533f2ed94fc9059a86f3eb11239b48cfaf7e3d4a6b7777f3ca",
+        "plain": "9303eae0a03163267618e9afbe2ffc39b824a264ecade73461fa94dee1463cf3",
+    },
+    ("bernoulli-second-kind",): {
+        "json": "1c877e7faff767f3300af8c0e456c4ab85c2aaf615580ae58e29e45cbbd03489",
+        "plain": "b7731e6d429f30a2c5bdd484d302be8b4abc4a232d1e0d2961e2601d90cc46f3",
+    },
+}
+
 
 def test_criterion_09_determinism_and_exit_codes():
     global VERIFY_ALL_SECONDS
@@ -281,6 +318,16 @@ def test_criterion_09_table_bytes():
                 proc = _run_cli("table", "--family", family, *args, "--format", fmt)
                 assert proc.returncode == 0
                 assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest, (family, fmt)
+
+
+def test_criterion_09_series_bytes():
+    with _Budget("9 series bytes", 120.0):
+        assert {gf for gf, *_ in SERIES_SHA256} == set(fam.SERIES)
+        for (gf, *args), want in SERIES_SHA256.items():
+            for fmt, digest in want.items():
+                proc = _run_cli("series", "--gf", gf, *args, "--order", "64", "--format", fmt)
+                assert proc.returncode == 0
+                assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest, (gf, *args, fmt)
 
 
 def test_criterion_10_full_run_under_a_minute():

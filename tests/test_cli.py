@@ -185,6 +185,13 @@ def test_verify_repeated_id_runs_once(capsys):
     assert len(once.splitlines()) == 4 + 1 and "pass=4 fail=0" in once
 
 
+def test_verify_repeated_grid_value_runs_once(capsys):
+    # 1 and 1/1 are one value: the first spelling is kept, the point reported once
+    code, out, _ = run_cli(capsys, "verify", "--id", "gf-w-base", "--alpha", "1,1/1", "--x", "1,1", "--order", "3")
+    assert code == 0
+    assert out == "pass           gf-w-base [alpha=1 x=1]\npass=1 fail=0 skipped=0\n"
+
+
 def test_verify_names_a_repeated_unknown_id_once(capsys):
     code, out, err = run_cli(capsys, "verify", "--id", "nope", "--id", "spivey", "--id", "zap", "--id", "nope")
     assert code == 2 and out == ""

@@ -1,5 +1,6 @@
 """The integer closed sums and the O(n^2) series recurrences against naive
-Fraction references (term-by-term sums and power sums, in oracles.py)."""
+Fraction references (term-by-term sums, power sums and the plain inverse
+recurrence, in oracles.py)."""
 
 from fractions import Fraction as F
 from math import comb
@@ -18,6 +19,7 @@ from .oracles import (
     exp_by_sum,
     gen_binomial_by_product,
     general_geometric_coeffs_naive,
+    inverse_by_recurrence,
 )
 
 # lambda = p/q with the grid's special values drawn on purpose
@@ -29,6 +31,7 @@ alphas = st.fractions(min_value=-8, max_value=8, max_denominator=7)
 positive_alphas = alphas.filter(lambda a: a > 0)
 indices = st.integers(min_value=0, max_value=30)
 coeff = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+nonzero = coeff.filter(lambda c: c != 0)
 
 
 @given(st.fractions(min_value=-40, max_value=40, max_denominator=15), indices)
@@ -91,3 +94,22 @@ def test_binomial_power_matches_power_sum(tail, r):
 def test_exp_matches_power_sum(tail):
     u = [F(0)] + tail
     assert list(Series(u).exp().coeffs) == exp_by_sum(u)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.builds(lambda c0, tail, order: Series([c0] + tail, order),
+                 nonzero, st.lists(coeff, max_size=20), st.integers(0, 20)))
+@example(Series([F(-3, 2), 0, F(5, 7)], 6))
+@example(Series([F(7, 3)], 0))
+def test_inverse_matches_recurrence(s):
+    assert list(s.inverse().coeffs) == inverse_by_recurrence(list(s.coeffs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(nonzero, st.lists(st.tuples(st.integers(1, 6), coeff), max_size=6), st.integers(0, 24))
+def test_inverse_matches_recurrence_on_sparse_series(c0, runs, order):
+    coeffs = [c0]
+    for gap, c in runs:  # gap - 1 zeros, then c
+        coeffs += [F(0)] * (gap - 1) + [c]
+    s = Series(coeffs[: order + 1], order)
+    assert list(s.inverse().coeffs) == inverse_by_recurrence(list(s.coeffs))
