@@ -241,6 +241,8 @@ def _grid_from_args(args) -> GridConfig:
         updates["nm_sum"] = updates.get("nmax", grid.nmax) + updates.get("mmax", grid.mmax)
     if args.l is not None:
         updates["ls"] = tuple(_int_list(args.l))
+        if min(updates["ls"]) < 1:
+            raise UsageError("--l must be >= 1")
     if args.alpha is not None:
         alphas = _rational_list(args.alpha)
         updates["int_alphas"] = tuple(int(a) for a in alphas if a.denominator == 1)

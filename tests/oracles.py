@@ -14,7 +14,7 @@ from itertools import permutations
 from math import comb, factorial
 
 from polyfam import families as fam
-from polyfam.identities import SkipDomain
+from polyfam.identities import GridConfig, SkipDomain
 from polyfam.poly import Poly
 from polyfam.series import Series
 from polyfam.stirling import stirling1_unsigned, stirling2
@@ -545,7 +545,88 @@ def chk_aux_euler_reflection(pt):
     return [("", lhs, rhs)]
 
 
+def chk_spivey(pt):
+    n, m = pt["n"], pt["m"]
+    lhs = fam.exponential_poly(n + m)
+    rhs = Poly.zero()
+    for k in range(n + 1):
+        phi_k = fam.exponential_poly(k)
+        for j in range(m + 1):
+            coef = comb(n, k) * stirling2(m, j) * F(j) ** (n - k)
+            if coef:
+                rhs = rhs + Poly.monomial(j, coef) * phi_k
+    return [("", lhs, rhs)]
+
+
+def chk_w_explicit(pt):
+    n, m = pt["n"], pt["m"]
+    lhs = fam.geometric_poly(n + m)
+    rhs = Poly.zero()
+    for k in range(m + 1):
+        s = stirling2(m, k)
+        if not s:
+            continue
+        for j in range(n + 1):
+            c = s * comb(n, j) * F(k) ** (n - j)
+            if not c:
+                continue
+            for i in range(j + 1):
+                s2 = stirling2(j, i)
+                if s2:
+                    rhs = rhs + Poly.monomial(k + i, c * s2 * factorial(i + k))
+    return [("", lhs, rhs)]
+
+
+def chk_fubini_explicit(pt):
+    n, m = pt["n"], pt["m"]
+    lhs = fam.fubini(n + m)
+    rhs = F(0)
+    for k in range(m + 1):
+        for j in range(n + 1):
+            for i in range(j + 1):
+                rhs += stirling2(m, k) * comb(n, j) * stirling2(j, i) * F(k) ** (n - j) * factorial(i + k)
+    return [("", lhs, rhs)]
+
+
+def chk_gf_apostol_bernoulli_shift(pt):
+    """At the default order, with 1/(lam e^t - 1) built afresh and the
+    polynomial evaluated by Horner at its argument series."""
+    m, l, lam = pt["m"], pt["l"], F(pt["lambda"])
+    order = GridConfig().order
+    if lam != 1:
+        e = Series.exp_t(1, order)
+        inverse = (e * lam - 1).inverse()
+        rhs = inverse**l * factorial(l) * eval_series_horner(fam.general_geometric(m, l), e * (-lam) * inverse)
+        lhs = Series([_bern(n + m + l, l, lam) / comb(n + m + l, l) / factorial(n) for n in range(order + 1)], order)
+        return [("", lhs, rhs)]
+    shift = l + m
+    if order < shift + 1:
+        raise SkipDomain("series order too small for the pole-cleared comparison")
+    r_series = Series.zero(order)
+    for k, c in enumerate(fam.general_geometric(m, l).coeffs):
+        if c:
+            term = (
+                (Series.t(order) ** (m - k))
+                * Series.exp_t(k, order)
+                * fam.gf_bernoulli_higher(l + k, order)
+                * (c * F(-1) ** k)
+            )
+            r_series = r_series + term
+    r_series = r_series * factorial(l)
+    reduced = order - shift
+    lhs = Series(
+        [fam.bernoulli_higher(n + m + l, l) / (comb(n + m + l, l) * factorial(n)) for n in range(reduced + 1)],
+        reduced,
+    )
+    rhs = Series([r_series.coeff(n + shift) for n in range(reduced + 1)], reduced)
+    return [("pole-cleared", lhs, rhs)]
+
+
 OLD_CHECKERS = {
+    "spivey": chk_spivey,
+    "w-explicit": chk_w_explicit,
+    "fubini-explicit": chk_fubini_explicit,
+    "gf-apostol-bernoulli-shift": chk_gf_apostol_bernoulli_shift,
     "w-general-recurrence": chk_w_general_recurrence,
     "apostol-euler-recurrence": chk_apostol_euler_recurrence,
     "w-connections": chk_w_connections,

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 from math import factorial
 
 from polyfam import families as fam
@@ -283,6 +284,12 @@ SERIES_SHA256 = {
     },
 }
 
+# sha256 of the stdout of `verify --config scripts/certify_lambda.cfg --format <fmt>`
+CERTIFY_SHA256 = {
+    "plain": "ab42f1a9febac18641fc3bf2445f71cf22a1ff22dfa2402f58320c66f59ec11c",
+    "json": "4198d46a25b11f5d58de450724569a27549ed3b5ec0ff1e33398874460f7cc8b",
+}
+
 
 def test_criterion_09_determinism_and_exit_codes():
     global VERIFY_ALL_SECONDS
@@ -328,6 +335,15 @@ def test_criterion_09_series_bytes():
                 proc = _run_cli("series", "--gf", gf, *args, "--order", "64", "--format", fmt)
                 assert proc.returncode == 0
                 assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest, (gf, *args, fmt)
+
+
+def test_criterion_09_certify_bytes():
+    config = str(Path(__file__).resolve().parents[1] / "scripts" / "certify_lambda.cfg")
+    with _Budget("9 certify bytes", 60.0):
+        for fmt, digest in CERTIFY_SHA256.items():
+            proc = _run_cli("verify", "--config", config, "--format", fmt)
+            assert proc.returncode == 0
+            assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest, fmt
 
 
 def test_criterion_10_full_run_under_a_minute():

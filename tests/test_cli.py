@@ -234,6 +234,18 @@ def test_verify_rejects_grid_bounds_below_zero(capsys, flag):
     assert f"{flag} must be >= 0" in err
 
 
+@pytest.mark.parametrize("identity_id", ["gf-apostol-bernoulli-shift", "finite-sums", "spivey"])
+@pytest.mark.parametrize("ls", [["--l", "0"], ["--l=-1,2"]])
+def test_verify_rejects_orders_below_one(capsys, identity_id, ls):
+    # refused up front, also for an identity that ignores l
+    assert run_cli(capsys, "verify", "--id", identity_id, *ls) == (2, "", "error: --l must be >= 1\n")
+
+
+def test_verify_accepts_orders_from_one(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--id", "apostol-bernoulli-explicit", "--nmax", "2", "--l", "1,2")
+    assert code == 0 and out.endswith("fail=0 skipped=6\n")
+
+
 def test_verify_list(capsys):
     code, out, _ = run_cli(capsys, "verify", "--list")
     assert code == 0
