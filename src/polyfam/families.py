@@ -21,6 +21,10 @@ Appell sum over a row of numbers (``_appell_num``), each one integer over a
 denominator its docstring states.  One cached integer per value, keyed by
 those ints (the ``_*_num`` bodies), is made a Fraction on return; the
 checkers read the integers for their own integer sums.
+
+The factors 1/(lam e^t +- 1) and 1 - x(e^t - 1) are cached once each
+(``_apostol_inverse``, ``_geometric_base``) for the ``gf_*`` builders and the
+checkers' series arguments.
 """
 
 from __future__ import annotations
@@ -331,10 +335,21 @@ def gf_exp_bell(x: Rat, order: int) -> Series:
 
 
 @lru_cache(maxsize=None)
+def _geometric_base(x: Rat, order: int) -> Series:
+    """1 - x(e^t - 1)."""
+    return Series.one(order) - (Series.exp_t(1, order) - 1) * Fraction(x)
+
+
+@lru_cache(maxsize=None)
+def _apostol_inverse(lam: Rat, s: int, order: int) -> Series:
+    """1/(lam e^t + s): s = 1 on the Euler side, s = -1 on the Bernoulli side."""
+    return (Series.exp_t(1, order) * lam + s).inverse()
+
+
+@lru_cache(maxsize=None)
 def gf_general_geometric(x: Rat, alpha: Rat, order: int) -> Series:
     """(1 - x(e^t - 1))^{-alpha}, exact for any rational alpha."""
-    g = Series.one(order) - (Series.exp_t(1, order) - 1) * Fraction(x)
-    return binomial_power(g, -Fraction(alpha))
+    return binomial_power(_geometric_base(x, order), -Fraction(alpha))
 
 
 def gf_geometric(x: Rat, order: int) -> Series:
@@ -352,35 +367,25 @@ def gf_bernoulli_higher(l: int, order: int) -> Series:
 @lru_cache(maxsize=None)
 def gf_apostol_bernoulli(l: int, lam: Rat, order: int) -> Series:
     """(t/(lam e^t - 1))^l for lam != 1."""
-    lam = Fraction(lam)
-    if lam == 1:
-        raise DomainError("lambda=1 not in domain; use bernoulli-higher")
-    if l < 1:
-        raise DomainError("order l must be a positive integer")
-    core = Series.t(order) * (Series.exp_t(1, order) * lam - 1).inverse()
-    return core**l
+    _check_apostol_bernoulli_domain(l, *_ratio(lam))
+    return (Series.t(order) * _apostol_inverse(lam, -1, order)) ** l
 
 
 @lru_cache(maxsize=None)
 def gf_apostol_euler(alpha: int, lam: Rat, order: int) -> Series:
     """(2/(lam e^t + 1))^alpha for integer alpha >= 1."""
-    lam = Fraction(lam)
-    if lam == -1:
-        raise DomainError("lambda=-1 is a pole of the Euler-type families")
+    _check_euler_pole(*_ratio(lam))
     if not (isinstance(alpha, int) and alpha >= 1):
         raise DomainError("plain series route needs integer alpha >= 1")
-    return ((Series.exp_t(1, order) * lam + 1).inverse() * 2) ** alpha
+    return (_apostol_inverse(lam, 1, order) * 2) ** alpha
 
 
 @lru_cache(maxsize=None)
 def gf_apostol_euler_mantissa(alpha: Rat, lam: Rat, order: int) -> Series:
     """((lam+1)/(lam e^t + 1))^alpha: the series whose EGF coefficients are
     the Euler mantissas, valid for any rational alpha."""
-    lam = Fraction(lam)
-    if lam == -1:
-        raise DomainError("lambda=-1 is a pole of the Euler-type families")
-    unit = (Series.exp_t(1, order) * lam + 1).inverse() * (lam + 1)
-    return binomial_power(unit, Fraction(alpha))
+    _check_euler_pole(*_ratio(lam))
+    return binomial_power(_apostol_inverse(lam, 1, order) * (lam + 1), Fraction(alpha))
 
 
 @lru_cache(maxsize=None)

@@ -27,7 +27,10 @@ list and never the memo.
 Sums over family values run in integers and build one Fraction at the end:
 with alpha = a/b and lam = p/q, an Euler-side sum is one integer over a power
 of d = b(p+q), a Bernoulli-side sum one integer over the lcm of its terms'
-denominators (_sum_over_lcm).
+denominators (_sum_over_lcm).  A symbolic side is one coefficient row by
+degree, made a Poly once.  _bern_pair and _bern_poly_pair, the only value
+helpers that branch on lam = 1, give each Bernoulli-type value as an integer
+pair; _bern and _bern_poly make it a Fraction.
 """
 
 from __future__ import annotations
@@ -42,8 +45,8 @@ from operator import itemgetter
 from typing import Callable
 
 from . import families as fam
-from .poly import Poly, poly_from_terms
-from .rationals import binomial, factorial, gen_binomial, rational_str
+from .poly import Poly
+from .rationals import _ratio, binomial, factorial, gen_binomial, rational_str
 from .rationals import sum_over_lcm as _sum_over_lcm
 from .series import Series, linear_combination
 from .stirling import stirling1_unsigned, stirling2
@@ -191,33 +194,32 @@ def _register(identity: Identity) -> None:
 
 # value helpers ---------------------------------------------------------------
 
-def _bern(n: int, l: int, lam: Fraction) -> Fraction:
-    """Bernoulli-type number of order l: classical at lam=1, Apostol-type else."""
-    if lam == 1:
-        return fam.bernoulli_higher(n, l)
-    return fam.apostol_bernoulli_higher(n, l, lam)
-
-
-def _bern_poly(n: int, l: int, x0: Fraction, lam: Fraction) -> Fraction:
-    if lam == 1:
-        return fam.bernoulli_higher_poly(n, l, x0)
-    return fam.apostol_bernoulli_poly(n, l, x0, lam)
-
-
 def _bern_pair(n: int, l: int, lam: Fraction) -> tuple[int, int]:
-    """_bern as (numerator, denominator): over (p-q)^n for lam = p/q != 1."""
+    """The Bernoulli-type number of order l as (numerator, denominator):
+    classical at lam = 1, else Apostol-type over (p-q)^n for lam = p/q."""
     if lam == 1:
         return fam.bernoulli_higher(n, l).as_integer_ratio()
     p, q = lam.as_integer_ratio()
+    fam._check_apostol_bernoulli_domain(l, p, q)
     return fam._apostol_bernoulli_num(n, l, p, q), (p - q) ** n
 
 
-def _bern_poly_pair(n: int, l: int, k: int, lam: Fraction) -> tuple[int, int]:
-    """_bern_poly at the integer point k as (numerator, denominator)."""
+def _bern_poly_pair(n: int, l: int, x0: Fraction | int, lam: Fraction) -> tuple[int, int]:
+    """The Bernoulli-type polynomial of order l at x0 = u/v as (numerator,
+    denominator): classical at lam = 1, else over ((p-q)v)^n for lam = p/q."""
     if lam == 1:
-        return fam.bernoulli_higher_poly(n, l, k).as_integer_ratio()
-    p, q = lam.as_integer_ratio()
-    return fam._apostol_bernoulli_poly_num(n, l, p, q, k, 1), (p - q) ** n
+        return fam.bernoulli_higher_poly(n, l, x0).as_integer_ratio()
+    (p, q), (u, v) = lam.as_integer_ratio(), _ratio(x0)
+    fam._check_apostol_bernoulli_domain(l, p, q)
+    return fam._apostol_bernoulli_poly_num(n, l, p, q, u, v), ((p - q) * v) ** n
+
+
+def _bern(n: int, l: int, lam: Fraction) -> Fraction:
+    return F(*_bern_pair(n, l, lam))
+
+
+def _bern_poly(n: int, l: int, x0: Fraction | int, lam: Fraction) -> Fraction:
+    return F(*_bern_poly_pair(n, l, x0, lam))
 
 
 def _need_euler_domain(lam: Fraction) -> None:
@@ -252,26 +254,19 @@ def _phi_argument(x: Fraction, order: int) -> Series:
 @lru_cache(maxsize=None)
 def _w_argument(x: Fraction, order: int) -> Series:
     """x e^t / (1 - x(e^t - 1))."""
-    g = Series.one(order) - (Series.exp_t(1, order) - 1) * x
-    return _phi_argument(x, order) * g.inverse()
-
-
-@lru_cache(maxsize=None)
-def _apostol_inverse(lam: Fraction, s: int, order: int) -> Series:
-    """1/(lam e^t + s): s = 1 on the Euler side, s = -1 on the Bernoulli side."""
-    return (Series.exp_t(1, order) * lam + s).inverse()
+    return _phi_argument(x, order) * fam._geometric_base(x, order).inverse()
 
 
 @lru_cache(maxsize=None)
 def _apostol_argument(lam: Fraction, s: int, order: int) -> Series:
     """-lam e^t / (lam e^t + s)."""
-    return (Series.exp_t(1, order) * (-lam)) * _apostol_inverse(lam, s, order)
+    return (Series.exp_t(1, order) * (-lam)) * fam._apostol_inverse(lam, s, order)
 
 
 @lru_cache(maxsize=None)
 def _bernoulli_shift_prefactor(l: int, lam: Fraction, order: int) -> Series:
     """l! / (lam e^t - 1)^l."""
-    return _apostol_inverse(lam, -1, order) ** l * factorial(l)
+    return fam._apostol_inverse(lam, -1, order) ** l * factorial(l)
 
 
 @lru_cache(maxsize=None)
@@ -314,15 +309,15 @@ def certification_lambdas(bound: int) -> tuple[Fraction, ...]:
 
 def _chk_spivey(pt, grid) -> list[Pair]:
     n, m = pt["n"], pt["m"]
-    lhs = fam.exponential_poly(n + m)
-    rhs = Poly.zero()
+    row = [0] * (n + m + 1)  # sum_k C(n,k) sum_j {m,j} j^(n-k) x^j phi_k(x), by degree
     for k in range(n + 1):
-        phi_k = fam.exponential_poly(k)
+        phi_k = fam.exponential_poly(k).coeffs
         for j in range(m + 1):
-            coef = binomial(n, k) * stirling2(m, j) * F(j) ** (n - k)
+            coef = binomial(n, k) * stirling2(m, j) * j ** (n - k)
             if coef:
-                rhs = rhs + Poly.monomial(j, coef) * phi_k
-    return [("", lhs, rhs)]
+                for i, c in enumerate(phi_k):
+                    row[j + i] += coef * c.numerator
+    return [("", fam.exponential_poly(n + m), Poly(row))]
 
 
 def _chk_gf_phi_shift(pt, grid) -> list[Pair]:
@@ -374,36 +369,26 @@ def _chk_gf_apostol_euler_shift(pt, grid) -> list[Pair]:
 def _chk_gf_apostol_bernoulli_shift(pt, grid) -> list[Pair]:
     m, l, lam = pt["m"], pt["l"], pt["lambda"]
     order = grid.order
+
+    def values(n: int) -> Fraction:
+        return _bern(n + m + l, l, lam) / binomial(n + m + l, l)
+
     if lam != 1:
         rhs = _bernoulli_shift_prefactor(l, lam, order) * _eval_at(
             fam.general_geometric(m, l), _apostol_argument, lam, -1, order)
-        lhs = _euler_series_lhs(
-            lambda n: _bern(n + m + l, l, lam) / binomial(n + m + l, l), order
-        )
-        return [("", lhs, rhs)]
+        return [("", _euler_series_lhs(values, order), rhs)]
     # classical limit: the right side has a pole of order l+m at t=0, so the
     # comparison clears t^{l+m} and checks the nonnegative-degree coefficients
     shift = l + m
     if order < shift + 1:
         raise SkipDomain("series order too small for the pole-cleared comparison")
-    r_series = Series.zero(order)
-    for k, c in enumerate(fam.general_geometric(m, l).coeffs):
-        if c:
-            term = (
-                (Series.t(order) ** (m - k))
-                * Series.exp_t(k, order)
-                * fam.gf_bernoulli_higher(l + k, order)
-                * (c * F(-1) ** k)
-            )
-            r_series = r_series + term
-    r_series = r_series * factorial(l)
-    reduced = order - shift
-    lhs = Series(
-        [fam.bernoulli_higher(n + m + l, l) / (binomial(n + m + l, l) * factorial(n)) for n in range(reduced + 1)],
-        reduced,
-    )
-    rhs = Series([r_series.coeff(n + shift) for n in range(reduced + 1)], reduced)
-    return [("pole-cleared", lhs, rhs)]
+    terms = [(k, c) for k, c in enumerate(fam.general_geometric(m, l).coeffs) if c]
+    r_series = linear_combination(
+        [factorial(l) * (-1) ** k * c for k, c in terms],
+        [Series.t(order) ** (m - k) * Series.exp_t(k, order) * fam.gf_bernoulli_higher(l + k, order)
+         for k, _ in terms],
+        order)
+    return [("pole-cleared", _euler_series_lhs(values, order - shift), Series(r_series.coeffs[shift:]))]
 
 
 def _chk_w_general_recurrence(pt, grid) -> list[Pair]:
@@ -425,32 +410,21 @@ def _chk_w_general_recurrence(pt, grid) -> list[Pair]:
 
 def _chk_w_explicit(pt, grid) -> list[Pair]:
     n, m = pt["n"], pt["m"]
-    lhs = fam.geometric_poly(n + m)
-    terms = []
+    row = [0] * (n + m + 1)  # sum_{k,j,i} {m,k} C(n,j) k^(n-j) {j,i} (i+k)! x^(k+i), by degree
     for k in range(m + 1):
-        s = stirling2(m, k)
-        if not s:
-            continue
         for j in range(n + 1):
-            c = s * binomial(n, j) * F(k) ** (n - j)
-            if not c:
-                continue
-            for i in range(j + 1):
-                s2 = stirling2(j, i)
-                if s2:
-                    terms.append((k + i, c * s2 * factorial(i + k)))
-    return [("", lhs, poly_from_terms(terms))]
+            c = stirling2(m, k) * binomial(n, j) * k ** (n - j)
+            if c:
+                for i in range(j + 1):
+                    row[k + i] += c * stirling2(j, i) * factorial(i + k)
+    return [("", fam.geometric_poly(n + m), Poly(row))]
 
 
 def _chk_fubini_explicit(pt, grid) -> list[Pair]:
     n, m = pt["n"], pt["m"]
-    lhs = fam.fubini(n + m)
-    rhs = F(0)
-    for k in range(m + 1):
-        for j in range(n + 1):
-            for i in range(j + 1):
-                rhs += stirling2(m, k) * binomial(n, j) * stirling2(j, i) * F(k) ** (n - j) * factorial(i + k)
-    return [("", lhs, rhs)]
+    rhs = sum(stirling2(m, k) * binomial(n, j) * stirling2(j, i) * k ** (n - j) * factorial(i + k)
+              for k in range(m + 1) for j in range(n + 1) for i in range(j + 1))
+    return [("", fam.fubini(n + m), rhs)]
 
 
 def _euler_shift_sum(n: int, m: int, alpha: Fraction, lam: Fraction) -> Fraction:
@@ -538,23 +512,21 @@ def _chk_apostol_euler_explicit(pt, grid) -> list[Pair]:
 
 def _chk_apostol_bernoulli_recurrence(pt, grid) -> list[Pair]:
     n, m, l, lam = pt["n"], pt["m"], pt["l"], pt["lambda"]
-    if lam != 1:
-        p, q = lam.as_integer_ratio()  # (-lam)^k = (-p)^k / q^k
-        lhs = fam.apostol_bernoulli_higher(n + m + l, l, lam) / (binomial(n + m + l, l) * l)
-        terms = []
-        for k in range(m + 1):
-            s = stirling2(m, k)
-            if not s:
-                continue
+    lhs = _bern(n + m + l, l, lam) / (binomial(n + m + l, l) * l)
+    if lam == 1:
+        # classical limit: the order-(l+k) factors must stay fused with their
+        # e^{kt} shift, which turns the inner sum into polynomial values at x=k
+        return [("classical-limit", lhs, _bernoulli_shift_sum(n, m, l, lam))]
+    p, q = lam.as_integer_ratio()  # (-lam)^k = (-p)^k / q^k
+    terms = []
+    for k in range(m + 1):
+        s = stirling2(m, k)
+        if s:
             for j in range(n + 1):
                 num, den = _bern_pair(l + k + j, l + k, lam)
                 terms.append((s * binomial(n, j) * (-p) ** k * k ** (n - j) * num,
                               q**k * (l + k) * binomial(l + k + j, j) * den))
-        return [("", lhs, _sum_over_lcm(terms))]
-    # classical limit: the order-(l+k) factors must stay fused with their e^{kt}
-    # shift, which turns the inner sum into polynomial values at x=k
-    lhs = fam.bernoulli_higher(n + m + l, l) / (binomial(n + m + l, l) * l)
-    return [("classical-limit", lhs, _bernoulli_shift_sum(n, m, l, lam))]
+    return [("", lhs, _sum_over_lcm(terms))]
 
 
 def _shifted_diagonal(m: int, l: int) -> tuple[Fraction, Fraction]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .rationals import _ratio, rational_str
 
@@ -124,13 +124,3 @@ def _as_poly(v: "Poly | Fraction | int") -> Poly:
         return v
     return Poly((Fraction(v),))
 
-
-def poly_from_terms(terms: Sequence[tuple[int, Fraction | int]]) -> Poly:
-    """Build a polynomial from (degree, coefficient) pairs, summing repeats."""
-    out: dict[int, Fraction] = {}
-    for k, c in terms:
-        out[k] = out.get(k, Fraction(0)) + Fraction(c)
-    if not out:
-        return Poly.zero()
-    top = max(out)
-    return Poly([out.get(i, Fraction(0)) for i in range(top + 1)])

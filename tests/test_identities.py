@@ -6,6 +6,7 @@ from math import factorial
 import pytest
 
 from polyfam import families as fam
+from polyfam import identities
 from polyfam.identities import (
     REGISTRY,
     SLOTS,
@@ -17,7 +18,7 @@ from polyfam.identities import (
     run_all,
     run_identity,
 )
-from polyfam.rationals import binomial
+from polyfam.rationals import DomainError, binomial
 from polyfam.stirling import stirling1_unsigned, stirling2
 
 SMALL = GridConfig(
@@ -273,3 +274,20 @@ def test_transform_machinery_links_the_two_diagonal_recurrences():
         b = [fam.bernoulli_higher(m + l, l) / (l * binomial(m + l, l)) for m in range(upper)]
         assert stirling_transform(a) == b
         assert inverse_stirling_transform(b) == a
+
+
+@pytest.mark.parametrize("lam", [F(2), F(-1, 3)])
+def test_bernoulli_value_pairs_refuse_orders_below_one(lam):
+    with pytest.raises(DomainError, match="order l must be a positive integer"):
+        identities._bern(3, 0, lam)
+    with pytest.raises(DomainError, match="order l must be a positive integer"):
+        identities._bern_poly(3, 0, F(1, 2), lam)
+
+
+@pytest.mark.parametrize("x0", [3, F(-2, 5)])
+def test_bernoulli_poly_pair_over_the_point_denominator(x0):
+    lam = F(5, 3)
+    num, den = identities._bern_poly_pair(4, 2, x0, lam)
+    assert den == (2 * F(x0).denominator) ** 4
+    assert F(num, den) == fam.apostol_bernoulli_poly(4, 2, F(x0), lam)
+    assert identities._bern_poly(4, 1, x0, F(1)) == fam.bernoulli_higher_poly(4, 1, F(x0))
