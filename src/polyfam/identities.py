@@ -46,7 +46,7 @@ from typing import Callable
 
 from . import families as fam
 from .poly import Poly
-from .rationals import _ratio, binomial, factorial, gen_binomial, rational_str
+from .rationals import binomial, factorial, gen_binomial, rational_str
 from .rationals import sum_over_lcm as _sum_over_lcm
 from .series import Series, linear_combination
 from .stirling import stirling1_unsigned, stirling2
@@ -209,7 +209,7 @@ def _bern_poly_pair(n: int, l: int, x0: Fraction | int, lam: Fraction) -> tuple[
     denominator): classical at lam = 1, else over ((p-q)v)^n for lam = p/q."""
     if lam == 1:
         return fam.bernoulli_higher_poly(n, l, x0).as_integer_ratio()
-    (p, q), (u, v) = lam.as_integer_ratio(), _ratio(x0)
+    (p, q), (u, v) = lam.as_integer_ratio(), x0.as_integer_ratio()
     fam._check_apostol_bernoulli_domain(l, p, q)
     return fam._apostol_bernoulli_poly_num(n, l, p, q, u, v), ((p - q) * v) ** n
 
