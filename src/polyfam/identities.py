@@ -1,28 +1,26 @@
 """Registry and runner for the identity catalog.
 
-Every identity is a pure checker mapping one grid point to a list of
+Every identity is a pure check mapping one grid point to a list of
 (label, lhs, rhs) comparison pairs; a point passes when every pair is exactly
-equal.  The grid hands checkers exact values: ints for the indices, Fractions
+equal.  The grid hands checks exact values: ints for the indices, Fractions
 for alpha, lambda and x.  Points whose parameters fall outside an identity's
 domain are reported ``skipped-domain`` with the reason, never silently passed.
 
-An identity whose sides read different grid axes (an Euler side of order alpha
-beside a Bernoulli side of order l) is declared by its halves instead:
-``_halves((fn, keys), ...)`` joins, in order, the pairs each ``fn`` gives at
-the point's values of ``keys``.  One memo (_rendered_half) holds each half's
-pairs with their verdict and rendered ``label=value`` segments, so a half is
-computed, compared and rendered once per distinct value of its keys, whatever
-the axes it ignores.  A half that raises SkipDomain stops the halves after it,
-so a domain guard goes in the first.
-
-The runner enumerates each identity's grid in canonical order (identity id,
-then the lexicographic key of the rendered parameters), rendering each axis
-value once, and evaluates the points one after another, in one process or, at
+Every identity declares its halves, ``((fn, keys), ...)``: each fn is a plain
+function of the point's values of two or more keys ("order" is the grid's),
+and the check joins, in order, the pairs the halves give, in a fresh list that
+carries the verdict and the rendered ``label=value`` segments in .rendered.  A
+half that raises SkipDomain stops the halves after it, so a domain guard goes
+in the first.  A single half reads every axis and is rendered afresh.  Two or
+more halves each omit an axis (an Euler side of order alpha beside a Bernoulli
+side of order l), so one memo (_rendered_half) holds each half's pairs,
+verdict and segments, computed once per distinct value of its keys.  The
+runner enumerates each identity's grid in canonical order (identity id, then
+the lexicographic key of the rendered parameters), rendering each axis value
+once, and evaluates the points one after another, in one process or, at
 jobs > 1, one identity per worker process; output is the same at any job
-count.  A check declared by halves hands back the joined verdict and strings
-with its pairs.  Every other check's pairs are compared and rendered per
-point, and so are a split check's under --perturb, which edits its fresh pair
-list and never the memo.
+count.  It reports .rendered, except under --perturb, which edits the fresh
+pair list, never the memo, and renders it.
 
 Sums over family values run in integers and build one Fraction at the end:
 with alpha = a/b and lam = p/q, an Euler-side sum is one integer over a power
@@ -40,9 +38,10 @@ import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import chain
 from math import prod
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, Sequence
 
 from . import families as fam
 from .poly import Poly
@@ -55,6 +54,7 @@ F = Fraction
 
 
 Pair = tuple[str, object, object]
+Half = tuple[Callable[..., Sequence[Pair]], tuple[str, ...]]  # (fn, the keys whose values it takes)
 
 
 class SkipDomain(Exception):
@@ -179,8 +179,13 @@ class Identity:
     id: str
     description: str
     slots: tuple[str, ...]  # keys of SLOTS
-    check: Callable[[dict, GridConfig], list[Pair]]
+    halves: tuple[Half, ...]
     lambda_degree_bound: Callable[[GridConfig], int] | None = None
+    check: Callable[[dict, GridConfig], list[Pair]] = None  # derived from halves unless given
+
+    def __post_init__(self):
+        if self.check is None:
+            object.__setattr__(self, "check", _halves(self.halves))
 
 
 REGISTRY: dict[str, Identity] = {}
@@ -190,6 +195,32 @@ def _register(identity: Identity) -> None:
     if identity.id in REGISTRY:
         raise ValueError(f"duplicate identity id {identity.id}")
     REGISTRY[identity.id] = identity
+
+
+class _Checked(list):
+    """A fresh pair list, which --perturb may edit, with its verdict and rendered sides in .rendered."""
+
+
+def _render_half(half: Callable[..., Sequence[Pair]], values: tuple) -> tuple:
+    pairs = half(*values)
+    return pairs, *_render(pairs)
+
+
+_rendered_half = lru_cache(maxsize=None)(_render_half)
+
+
+def _halves(halves: tuple[Half, ...]) -> Callable[[dict, GridConfig], _Checked]:
+    """The check of an identity declared by its (half, keys) pairs, as the module docstring describes."""
+    render = _rendered_half if len(halves) > 1 else _render_half
+    getters = [(half, itemgetter(*keys)) for half, keys in halves]
+
+    def check(pt: dict, grid: GridConfig) -> _Checked:
+        values = {**pt, "order": grid.order}
+        parts, oks, lhs, rhs = zip(*[p for half, get in getters if (p := render(half, get(values)))[0]])
+        pairs = _Checked(chain.from_iterable(parts))
+        pairs.rendered = all(oks), "; ".join(lhs), "; ".join(rhs)
+        return pairs
+    return check
 
 
 # value helpers ---------------------------------------------------------------
@@ -307,8 +338,7 @@ def certification_lambdas(bound: int) -> tuple[Fraction, ...]:
 # checkers
 # ---------------------------------------------------------------------------
 
-def _chk_spivey(pt, grid) -> list[Pair]:
-    n, m = pt["n"], pt["m"]
+def _chk_spivey(n, m) -> list[Pair]:
     row = [0] * (n + m + 1)  # sum_k C(n,k) sum_j {m,j} j^(n-k) x^j phi_k(x), by degree
     for k in range(n + 1):
         phi_k = fam.exponential_poly(k).coeffs
@@ -320,25 +350,19 @@ def _chk_spivey(pt, grid) -> list[Pair]:
     return [("", fam.exponential_poly(n + m), Poly(row))]
 
 
-def _chk_gf_phi_shift(pt, grid) -> list[Pair]:
-    m, x = pt["m"], pt["x"]
-    order = grid.order
+def _chk_gf_phi_shift(m, x, order) -> list[Pair]:
     lhs = _euler_series_lhs(lambda n: fam.exponential_poly(n + m)(x), order)
     rhs = fam.gf_exp_bell(x, order) * _eval_at(fam.exponential_poly(m), _phi_argument, x, order)
     return [("", lhs, rhs)]
 
 
-def _chk_gf_phi_base(pt, grid) -> list[Pair]:
-    x = pt["x"]
-    order = grid.order
+def _chk_gf_phi_base(x, order) -> list[Pair]:
     lhs = _euler_series_lhs(lambda n: fam.exponential_poly(n)(x), order)
     return [("", lhs, fam.gf_exp_bell(x, order))]
 
 
-def _chk_gf_w_shift(pt, grid) -> list[Pair]:
-    m, alpha, x = pt["m"], pt["alpha"], pt["x"]
+def _chk_gf_w_shift(m, alpha, x, order) -> list[Pair]:
     _need_geometric_domain(alpha)
-    order = grid.order
     # (1 - x(e^t - 1))^(-alpha) is the base series itself
     rhs = fam.gf_general_geometric(x, alpha, order) * _eval_at(
         fam.general_geometric(m, alpha), _w_argument, x, order)
@@ -346,19 +370,15 @@ def _chk_gf_w_shift(pt, grid) -> list[Pair]:
     return [("", lhs, rhs)]
 
 
-def _chk_gf_w_base(pt, grid) -> list[Pair]:
-    alpha, x = pt["alpha"], pt["x"]
+def _chk_gf_w_base(alpha, x, order) -> list[Pair]:
     _need_geometric_domain(alpha)
-    order = grid.order
     lhs = _euler_series_lhs(lambda n: fam.general_geometric(n, alpha)(x), order)
     return [("", lhs, fam.gf_general_geometric(x, alpha, order))]
 
 
-def _chk_gf_apostol_euler_shift(pt, grid) -> list[Pair]:
-    m, alpha, lam = pt["m"], pt["alpha"], pt["lambda"]
+def _chk_gf_apostol_euler_shift(m, alpha, lam, order) -> list[Pair]:
     _need_euler_domain(lam)
     _need_geometric_domain(alpha)
-    order = grid.order
     # ((lam+1)/(lam e^t + 1))^alpha is the mantissa series itself
     rhs = fam.gf_apostol_euler_mantissa(alpha, lam, order) * _eval_at(
         fam.general_geometric(m, alpha), _apostol_argument, lam, 1, order)
@@ -366,10 +386,7 @@ def _chk_gf_apostol_euler_shift(pt, grid) -> list[Pair]:
     return [("", lhs, rhs)]
 
 
-def _chk_gf_apostol_bernoulli_shift(pt, grid) -> list[Pair]:
-    m, l, lam = pt["m"], pt["l"], pt["lambda"]
-    order = grid.order
-
+def _chk_gf_apostol_bernoulli_shift(m, l, lam, order) -> list[Pair]:
     def values(n: int) -> Fraction:
         return _bern(n + m + l, l, lam) / binomial(n + m + l, l)
 
@@ -391,8 +408,7 @@ def _chk_gf_apostol_bernoulli_shift(pt, grid) -> list[Pair]:
     return [("pole-cleared", _euler_series_lhs(values, order - shift), Series(r_series.coeffs[shift:]))]
 
 
-def _chk_w_general_recurrence(pt, grid) -> list[Pair]:
-    n, m, alpha = pt["n"], pt["m"], pt["alpha"]
+def _chk_w_general_recurrence(n, m, alpha) -> list[Pair]:
     _need_geometric_domain(alpha)
     lhs = fam.general_geometric(n + m, alpha)
     coeffs = [F(0)] * (n + m + 1)
@@ -408,8 +424,7 @@ def _chk_w_general_recurrence(pt, grid) -> list[Pair]:
     return [("", lhs, Poly(coeffs))]
 
 
-def _chk_w_explicit(pt, grid) -> list[Pair]:
-    n, m = pt["n"], pt["m"]
+def _chk_w_explicit(n, m) -> list[Pair]:
     row = [0] * (n + m + 1)  # sum_{k,j,i} {m,k} C(n,j) k^(n-j) {j,i} (i+k)! x^(k+i), by degree
     for k in range(m + 1):
         for j in range(n + 1):
@@ -420,8 +435,7 @@ def _chk_w_explicit(pt, grid) -> list[Pair]:
     return [("", fam.geometric_poly(n + m), Poly(row))]
 
 
-def _chk_fubini_explicit(pt, grid) -> list[Pair]:
-    n, m = pt["n"], pt["m"]
+def _chk_fubini_explicit(n, m) -> list[Pair]:
     rhs = sum(stirling2(m, k) * binomial(n, j) * stirling2(j, i) * k ** (n - j) * factorial(i + k)
               for k in range(m + 1) for j in range(n + 1) for i in range(j + 1))
     return [("", fam.fubini(n + m), rhs)]
@@ -489,17 +503,15 @@ def _euler_reflection(n: int, a: Fraction, x: Fraction, lam: Fraction) -> tuple[
     return lhs, rhs
 
 
-def _chk_apostol_euler_recurrence(pt, grid) -> list[Pair]:
-    n, m, alpha, lam = pt["n"], pt["m"], pt["alpha"], pt["lambda"]
+def _chk_apostol_euler_recurrence(n, m, alpha, lam) -> list[Pair]:
     _need_euler_domain(lam)
     lhs = fam.apostol_euler_mantissa(n + m, alpha, lam)
     return [("", lhs, _euler_shift_sum(n, m, alpha, lam))]
 
 
-def _chk_apostol_euler_explicit(pt, grid) -> list[Pair]:
-    m, alpha, lam = pt["m"], pt["alpha"], pt["lambda"]
+def _chk_apostol_euler_explicit(m, alpha, lam, order) -> list[Pair]:
     _need_euler_domain(lam)
-    order = max(grid.order, m)
+    order = max(order, m)
     lhs = fam.apostol_euler_mantissa(m, alpha, lam)
     pairs: list[Pair] = [
         ("mantissa-series", lhs, fam.gf_apostol_euler_mantissa(alpha, lam, order).egf_coeff(m))
@@ -510,8 +522,7 @@ def _chk_apostol_euler_explicit(pt, grid) -> list[Pair]:
     return pairs
 
 
-def _chk_apostol_bernoulli_recurrence(pt, grid) -> list[Pair]:
-    n, m, l, lam = pt["n"], pt["m"], pt["l"], pt["lambda"]
+def _chk_apostol_bernoulli_recurrence(n, m, l, lam) -> list[Pair]:
     lhs = _bern(n + m + l, l, lam) / (binomial(n + m + l, l) * l)
     if lam == 1:
         # classical limit: the order-(l+k) factors must stay fused with their
@@ -535,15 +546,13 @@ def _shifted_diagonal(m: int, l: int) -> tuple[Fraction, Fraction]:
             F(l + m, l) * _bernoulli_stirling1_sum(0, m, l, F(1)))
 
 
-def _chk_bernoulli_higher_recurrence(pt, grid) -> list[Pair]:
-    m, l = pt["m"], pt["l"]
+def _chk_bernoulli_higher_recurrence(m, l) -> list[Pair]:
     rhs = l * binomial(m + l, l) * _bernoulli_shift_sum(0, m, l, F(1))
     return [("diagonal-sum", fam.bernoulli_higher(m + l, l), rhs),
             ("inverse-transform", *_shifted_diagonal(m, l))]
 
 
-def _chk_apostol_bernoulli_diag_recurrence(pt, grid) -> list[Pair]:
-    m, l, lam = pt["m"], pt["l"], pt["lambda"]
+def _chk_apostol_bernoulli_diag_recurrence(m, l, lam) -> list[Pair]:
     _need_apostol_bernoulli_domain(lam)
     lhs = fam.apostol_bernoulli_higher(m + l, l, lam)
     p, q = lam.as_integer_ratio()  # (-lam)^k = (-p)^k / q^k
@@ -557,10 +566,9 @@ def _chk_apostol_bernoulli_diag_recurrence(pt, grid) -> list[Pair]:
     return [("", lhs, _sum_over_lcm(terms))]
 
 
-def _chk_apostol_bernoulli_explicit(pt, grid) -> list[Pair]:
-    n, l, lam = pt["n"], pt["l"], pt["lambda"]
+def _chk_apostol_bernoulli_explicit(n, l, lam, order) -> list[Pair]:
     _need_apostol_bernoulli_domain(lam)
-    order = max(grid.order, n)
+    order = max(order, n)
     pairs: list[Pair] = [
         ("closed-sum-vs-series",
          fam.apostol_bernoulli_higher(n, l, lam),
@@ -571,8 +579,7 @@ def _chk_apostol_bernoulli_explicit(pt, grid) -> list[Pair]:
     return pairs
 
 
-def _chk_apostol_bernoulli_classical(pt, grid) -> list[Pair]:
-    n, lam = pt["n"], pt["lambda"]
+def _chk_apostol_bernoulli_classical(n, lam) -> list[Pair]:
     _need_apostol_bernoulli_domain(lam)
     value = fam.apostol_bernoulli_higher(n, 1, lam)
     if n == 0:
@@ -585,36 +592,11 @@ def _chk_apostol_bernoulli_classical(pt, grid) -> list[Pair]:
     return [("geometric-eval", value, geo), ("stirling-sum", value, explicit)]
 
 
-# The four identities below are declared by their halves (see the module
-# docstring), which share their sums with the checkers above: _euler_shift_sum
-# (also apostol-euler-recurrence's right side) and _euler_stirling1_sum on the
-# Euler side, _bernoulli_shift_sum and _bernoulli_stirling1_sum on the
-# Bernoulli side, and _euler_reflection with aux-euler-reflection.  The sums
-# read the cached integer kernels of families.
-
-class _Rendered(list):
-    """A pair list with its verdict and rendered sides, as _render gives them, in .rendered."""
-
-
-@lru_cache(maxsize=None)
-def _rendered_half(half: Callable[..., tuple[Pair, ...]], values: tuple) -> tuple:
-    pairs = half(*values)
-    return pairs, *_render(pairs)
-
-
-def _halves(*halves: tuple[Callable[..., tuple[Pair, ...]], tuple[str, ...]]):
-    """The check joining the labelled pairs of each (half, keys of two or more)
-    in order, in a fresh list that --perturb may edit, rendered by the join of
-    the halves' memos."""
-    getters = [(half, itemgetter(*keys)) for half, keys in halves]
-
-    def check(pt: dict, grid: GridConfig) -> list[Pair]:
-        parts = [p for half, get in getters if (p := _rendered_half(half, get(pt)))[0]]
-        pairs = _Rendered(pair for p in parts for pair in p[0])
-        pairs.rendered = all(p[1] for p in parts), "; ".join(p[2] for p in parts), "; ".join(p[3] for p in parts)
-        return pairs
-    return check
-
+# The split identities below have two or more halves, which share their sums
+# with the checkers above: _euler_shift_sum (also apostol-euler-recurrence's
+# right side) and _euler_stirling1_sum on the Euler side, _bernoulli_shift_sum
+# and _bernoulli_stirling1_sum on the Bernoulli side, and _euler_reflection with
+# aux-euler-reflection.  The sums read the cached integer kernels of families.
 
 def _connection_euler(n: int, alpha: Fraction, lam: Fraction) -> tuple[Pair, ...]:
     if lam == -1:
@@ -685,8 +667,7 @@ def _finite_sums_bernoulli(m: int, l: int, lam: Fraction) -> tuple[Pair, ...]:
     return (("bernoulli-sum", _bernoulli_stirling1_sum(0, m, l, lam), rhs),)
 
 
-def _chk_diag_bernoulli_values(pt, grid) -> list[Pair]:
-    m, l = pt["m"], pt["l"]
+def _chk_diag_bernoulli_values(m, l) -> list[Pair]:
     n = m + l
     pairs: list[Pair] = [
         ("shifted-diagonal", *_shifted_diagonal(m, l)),
@@ -700,8 +681,7 @@ def _chk_diag_bernoulli_values(pt, grid) -> list[Pair]:
     return pairs
 
 
-def _chk_aux_wang(pt, grid) -> list[Pair]:
-    n, alpha, lam, x = pt["n"], pt["alpha"], pt["lambda"], pt["x"]
+def _chk_aux_wang(n, alpha, lam, x) -> list[Pair]:
     _need_euler_domain(lam)
     b = fam.euler_prefactor_base(lam)
     lhs = alpha * lam / 2 * b * fam.apostol_euler_poly_mantissa(n, alpha + 1, x + 1, lam)
@@ -709,8 +689,8 @@ def _chk_aux_wang(pt, grid) -> list[Pair]:
     return [("", lhs, rhs)]
 
 
-def _chk_aux_srivastava_luo(pt, grid) -> list[Pair]:
-    n, alpha, lam, x = pt["n"], int(pt["alpha"]), pt["lambda"], pt["x"]
+def _chk_aux_srivastava_luo(n, alpha, lam, x) -> list[Pair]:
+    alpha = int(alpha)
     if alpha < 1:
         raise SkipDomain("alpha < 1: the Bernoulli-type order alpha must be a positive integer")
     lhs = alpha * lam * _bern_poly(n, alpha + 1, x + 1, lam)
@@ -718,8 +698,7 @@ def _chk_aux_srivastava_luo(pt, grid) -> list[Pair]:
     return [("", lhs, rhs)]
 
 
-def _chk_aux_euler_reflection(pt, grid) -> list[Pair]:
-    n, alpha, lam, x = pt["n"], pt["alpha"], pt["lambda"], pt["x"]
+def _chk_aux_euler_reflection(n, alpha, lam, x) -> list[Pair]:
     _need_euler_domain(lam)
     if lam == 0:
         raise SkipDomain("lambda=0: reciprocal parameter undefined")
@@ -735,67 +714,73 @@ def _chk_aux_euler_reflection(pt, grid) -> list[Pair]:
 
 for _identity in [
     Identity("spivey", "index-shift convolution for Bell polynomials, symbolic in x",
-             ("nm",), _chk_spivey),
+             ("nm",), ((_chk_spivey, ("n", "m")),)),
     Identity("gf-phi-shift", "shifted Bell-polynomial series equals the composed exponential series",
-             ("gm", "x"), _chk_gf_phi_shift),
+             ("gm", "x"), ((_chk_gf_phi_shift, ("m", "x", "order")),)),
     Identity("gf-phi-base", "Bell-polynomial series in exponential form",
-             ("x",), _chk_gf_phi_base),
+             ("x",), ((_chk_gf_phi_base, ("x", "order")),)),
     Identity("gf-w-shift", "shifted general geometric series equals the substituted binomial-power series",
-             ("gm", "alpha", "x"), _chk_gf_w_shift),
+             ("gm", "alpha", "x"), ((_chk_gf_w_shift, ("m", "alpha", "x", "order")),)),
     Identity("gf-w-base", "general geometric series as a binomial power",
-             ("alpha", "x"), _chk_gf_w_base),
+             ("alpha", "x"), ((_chk_gf_w_base, ("alpha", "x", "order")),)),
     Identity("gf-apostol-euler-shift", "shifted Euler-type number series via geometric polynomial substitution",
-             ("gm", "alpha", "lambda"), _chk_gf_apostol_euler_shift, _deg_bound_gf),
+             ("gm", "alpha", "lambda"), ((_chk_gf_apostol_euler_shift, ("m", "alpha", "lambda", "order")),),
+             _deg_bound_gf),
     Identity("gf-apostol-bernoulli-shift",
              "shifted Bernoulli-type number series via geometric polynomial substitution",
-             ("gm", "l", "lambda"), _chk_gf_apostol_bernoulli_shift, _deg_bound_gf),
+             ("gm", "l", "lambda"), ((_chk_gf_apostol_bernoulli_shift, ("m", "l", "lambda", "order")),), _deg_bound_gf),
     Identity("w-general-recurrence", "order-raising recurrence for general geometric polynomials, symbolic in x",
-             ("nm", "alpha"), _chk_w_general_recurrence),
+             ("nm", "alpha"), ((_chk_w_general_recurrence, ("n", "m", "alpha")),)),
     Identity("w-explicit", "closed triple sum for geometric polynomials, symbolic in x",
-             ("nm",), _chk_w_explicit),
+             ("nm",), ((_chk_w_explicit, ("n", "m")),)),
     Identity("fubini-explicit", "closed triple sum for ordered Bell numbers",
-             ("nm",), _chk_fubini_explicit),
+             ("nm",), ((_chk_fubini_explicit, ("n", "m")),)),
     Identity("apostol-euler-recurrence", "order-raising recurrence for Euler-type numbers",
-             ("nm", "alpha", "lambda"), _chk_apostol_euler_recurrence, _deg_bound_rec),
+             ("nm", "alpha", "lambda"), ((_chk_apostol_euler_recurrence, ("n", "m", "alpha", "lambda")),),
+             _deg_bound_rec),
     Identity("apostol-euler-explicit", "closed Stirling sum for Euler-type numbers against the series route",
-             ("m", "alpha", "lambda"), _chk_apostol_euler_explicit, _deg_bound_rec),
+             ("m", "alpha", "lambda"), ((_chk_apostol_euler_explicit, ("m", "alpha", "lambda", "order")),),
+             _deg_bound_rec),
     Identity("apostol-bernoulli-recurrence", "order-raising recurrence for Bernoulli-type numbers",
-             ("nm", "l", "lambda"), _chk_apostol_bernoulli_recurrence, _deg_bound_rec),
+             ("nm", "l", "lambda"), ((_chk_apostol_bernoulli_recurrence, ("n", "m", "l", "lambda")),),
+             _deg_bound_rec),
     Identity("bernoulli-higher-recurrence",
              "diagonal recurrences for higher-order Bernoulli numbers and their inverse transform",
-             ("m", "l"), _chk_bernoulli_higher_recurrence),
+             ("m", "l"), ((_chk_bernoulli_higher_recurrence, ("m", "l")),)),
     Identity("apostol-bernoulli-diag-recurrence", "diagonal-order recurrence for Bernoulli-type numbers",
-             ("m", "l", "lambda"), _chk_apostol_bernoulli_diag_recurrence, _deg_bound_rec),
+             ("m", "l", "lambda"), ((_chk_apostol_bernoulli_diag_recurrence, ("m", "l", "lambda")),), _deg_bound_rec),
     Identity("apostol-bernoulli-explicit", "closed Stirling sum for Bernoulli-type numbers against the series route",
-             ("n", "l", "lambda"), _chk_apostol_bernoulli_explicit, _deg_bound_rec),
+             ("n", "l", "lambda"), ((_chk_apostol_bernoulli_explicit, ("n", "l", "lambda", "order")),), _deg_bound_rec),
     Identity("apostol-bernoulli-classical", "first-order Bernoulli-type numbers through geometric polynomial values",
-             ("n", "lambda"), _chk_apostol_bernoulli_classical, _deg_bound_rec),
+             ("n", "lambda"), ((_chk_apostol_bernoulli_classical, ("n", "lambda")),), _deg_bound_rec),
     Identity("w-connections",
              "geometric polynomial values at distinguished points give the Euler/Bernoulli-type families",
              ("n", "alpha", "l", "lambda"),
-             _halves((_connection_euler, ("n", "alpha", "lambda")), (_connection_bernoulli, ("n", "l", "lambda")),
-                     (_connection_classical, ("n", "alpha", "l"))),
+             ((_connection_euler, ("n", "alpha", "lambda")), (_connection_bernoulli, ("n", "l", "lambda")),
+              (_connection_classical, ("n", "alpha", "l"))),
              _deg_bound_rec),
     Identity("poly-shift-prop", "shift of the second index into polynomial arguments, number form",
              ("nm", "l", "alpha", "lambda"),
-             _halves((_prop_euler, ("n", "m", "alpha", "lambda")), (_prop_bernoulli, ("n", "m", "l", "lambda"))),
+             ((_prop_euler, ("n", "m", "alpha", "lambda")), (_prop_bernoulli, ("n", "m", "l", "lambda"))),
              _deg_bound_rec),
     Identity("poly-shift-theorem", "inverse-transform shift into polynomial arguments, with reflections",
              ("nm", "l", "alpha", "lambda"),
-             _halves((_theorem_euler, ("n", "m", "alpha", "lambda")), (_theorem_bernoulli, ("n", "m", "l", "lambda"))),
+             ((_theorem_euler, ("n", "m", "alpha", "lambda")), (_theorem_bernoulli, ("n", "m", "l", "lambda"))),
              _deg_bound_rec),
     Identity("finite-sums", "closed forms for alternating first-kind Stirling sums over both families",
              ("m", "l", "alpha", "lambda"),
-             _halves((_finite_sums_euler, ("m", "alpha", "lambda")), (_finite_sums_bernoulli, ("m", "l", "lambda"))),
+             ((_finite_sums_euler, ("m", "alpha", "lambda")), (_finite_sums_bernoulli, ("m", "l", "lambda"))),
              _deg_bound_rec),
     Identity("diag-bernoulli-values", "diagonal higher-order Bernoulli polynomial values and the second-kind link",
-             ("m", "l"), _chk_diag_bernoulli_values),
+             ("m", "l"), ((_chk_diag_bernoulli_values, ("m", "l")),)),
     Identity("aux-wang", "order-raising relation for Euler-type polynomials",
-             ("n", "alpha", "lambda", "x"), _chk_aux_wang, _deg_bound_rec),
+             ("n", "alpha", "lambda", "x"), ((_chk_aux_wang, ("n", "alpha", "lambda", "x")),), _deg_bound_rec),
     Identity("aux-srivastava-luo", "order-raising relation for Bernoulli-type polynomials",
-             ("n", "int_alpha", "lambda", "x"), _chk_aux_srivastava_luo, _deg_bound_rec),
+             ("n", "int_alpha", "lambda", "x"), ((_chk_aux_srivastava_luo, ("n", "alpha", "lambda", "x")),),
+             _deg_bound_rec),
     Identity("aux-euler-reflection", "reflection of Euler-type polynomials across half the order",
-             ("n", "alpha", "lambda", "x"), _chk_aux_euler_reflection, _deg_bound_rec),
+             ("n", "alpha", "lambda", "x"), ((_chk_aux_euler_reflection, ("n", "alpha", "lambda", "x")),),
+             _deg_bound_rec),
 ]:
     _register(_identity)
 
@@ -840,7 +825,7 @@ def _evaluate_point(identity: Identity, pt: dict, params: dict[str, str], grid: 
             pairs[idx] = (label, _perturb_value(lhs, rng), rhs)
         else:
             pairs[idx] = (label, lhs, _perturb_value(rhs, rng))
-    ok, lhs_s, rhs_s = pairs.rendered if isinstance(pairs, _Rendered) and not perturb else _render(pairs)
+    ok, lhs_s, rhs_s = _render(pairs) if perturb else pairs.rendered
     micros = int((time.perf_counter() - started) * 1e6) if timing else 0
     return IdentityReport(identity.id, params, "pass" if ok else "fail", lhs_s, rhs_s, micros)
 

@@ -212,6 +212,8 @@ def _run_cli(*argv: str) -> subprocess.CompletedProcess:
 
 VERIFY_ALL_SECONDS = None
 VERIFY_ALL_SHA256 = "1a3d006f9e05edcc1ca5433e1bfa2a57a01b62bfcf04e566eb15cb7abcebc740"
+# sha256 of the stdout of `verify --all --perturb --format json`, the negative control
+PERTURB_SHA256 = "5f984fb3e266a525a5359792d00c6614da74ee42ae37500f2937344d704ceb05"
 
 # sha256 of the stdout of `table --family <id> <args> --format <fmt>`
 TABLE_SHA256 = {
@@ -316,6 +318,15 @@ def test_criterion_09_determinism_and_exit_codes():
         domain = _run_cli("table", "--family", "apostol-bernoulli-higher",
                           "--l", "2", "--lambda", "1", "--n", "4")
         assert domain.returncode == 2
+
+
+def test_criterion_09_perturb_bytes():
+    with _Budget("9 perturb bytes", 120.0):
+        for jobs in ("1", "2"):
+            proc = _run_cli("verify", "--all", "--perturb", "--format", "json", "--jobs", jobs)
+            assert proc.returncode == 1
+            assert hashlib.sha256(proc.stdout.encode()).hexdigest() == PERTURB_SHA256, jobs
+            assert json.loads(proc.stdout)["summary"] == {"pass": 0, "fail": 23086, "skipped": 297}
 
 
 def test_criterion_09_table_bytes():

@@ -50,6 +50,26 @@ def test_slots_are_grid_axes():
         assert ("lambda" in identity.slots) == (identity.lambda_degree_bound is not None), identity.id
 
 
+def test_halves_name_the_keys_of_their_slots():
+    for identity in REGISTRY.values():
+        keys = {k for slot in identity.slots for k in SLOTS[slot](GridConfig())[0]}
+        for _, half_keys in identity.halves:
+            assert len(half_keys) >= 2, identity.id  # itemgetter of one key gives a bare value
+            assert set(half_keys) <= keys | {"order"}, identity.id
+        # an axis that no half reads would repeat identical checks
+        assert keys <= {k for _, half_keys in identity.halves for k in half_keys}, identity.id
+
+
+def test_only_identities_of_two_or_more_halves_fill_the_half_memo():
+    split = sorted(i for i, identity in REGISTRY.items() if len(identity.halves) > 1)
+    assert split == ["finite-sums", "poly-shift-prop", "poly-shift-theorem", "w-connections"]
+    identities._rendered_half.cache_clear()
+    run_all(SMALL, sorted(set(REGISTRY) - set(split)))
+    assert identities._rendered_half.cache_info().currsize == 0
+    run_all(SMALL, split)
+    assert identities._rendered_half.cache_info().currsize > 0
+
+
 def test_default_grid_size():
     assert sum(len(grid_points(i.slots, GridConfig())) for i in REGISTRY.values()) == 23383
 
