@@ -21,7 +21,6 @@ from . import families as fam
 from .identities import REGISTRY, GridConfig, run_all
 from .poly import Poly
 from .rationals import DomainError, parse_rational, rational_str
-from .series import Series
 
 
 class UsageError(Exception):
@@ -52,20 +51,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="polyfam", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def command(name: str, run, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         p.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
         p.add_argument("--config", help="flat key=value file mirroring the flags")
+        return p
 
-    t = sub.add_parser("table", help="emit n -> value rows for a family")
-    common(t)
+    def values(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--alpha", type=str, default=None)
+        p.add_argument("--l", type=int, default=None)
+        p.add_argument("--lambda", dest="lam", type=str, default=None)
+
+    t = command("table", cmd_table, "emit n -> value rows for a family")
     t.add_argument("--family", required=True)
     t.add_argument("--n", type=int, default=8, help="largest index to emit")
-    t.add_argument("--alpha", type=str, default=None)
-    t.add_argument("--l", type=int, default=None)
-    t.add_argument("--lambda", dest="lam", type=str, default=None)
+    values(t)
 
-    v = sub.add_parser("verify", help="run identity checks over a grid")
-    common(v)
+    v = command("verify", cmd_verify, "run identity checks over a grid")
     v.add_argument("--jobs", type=int, default=1,
                    help="worker processes; at N > 1 whole identities run in min(N, ids) processes, same output")
     v.add_argument("--all", action="store_true", help="run every registered identity")
@@ -86,45 +89,44 @@ def build_parser() -> argparse.ArgumentParser:
                    help="replace the lambda grid with enough points to certify rational-function identities")
     v.add_argument("--timing", action="store_true", help="record per-point wall time (non-deterministic output)")
 
-    s = sub.add_parser("series", help="print a generating series")
-    common(s)
+    s = command("series", cmd_series, "print a generating series")
     s.add_argument("--gf", required=True, help=f"one of: {', '.join(fam.SERIES)}")
     s.add_argument("--x", type=str, default=None)
-    s.add_argument("--alpha", type=str, default=None)
-    s.add_argument("--l", type=int, default=None)
-    s.add_argument("--lambda", dest="lam", type=str, default=None)
+    values(s)
     s.add_argument("--order", type=int, default=8)
     return parser
 
 
-def _find_config_path(argv: list[str]) -> str | None:
-    for i, arg in enumerate(argv):
-        if arg == "--config" and i + 1 < len(argv):
-            return argv[i + 1]
-        if arg.startswith("--config="):
-            return arg.split("=", 1)[1]
-    return None
-
-
 def _apply_config(argv: list[str]) -> list[str]:
     """Prepend config-file values so explicit flags override them."""
-    path = _find_config_path(argv)
+    # read --config the way the subcommand's parser will, abbreviations included;
+    # a malformed one is left for that parser to report
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config")
+    try:
+        path = pre.parse_known_args(argv[1:])[0].config
+    except argparse.ArgumentError:
+        return argv
     if path is None:
         return argv
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"config file {path} is not UTF-8 text: {exc}") from None
     injected: list[str] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"config line is not key=value: {line!r}")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if value.lower() in ("true", "yes", "on"):
-                injected.append(f"--{key}")
-            elif value.lower() not in ("false", "no", "off"):
-                injected.extend([f"--{key}", value])
+    for line in lines:
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"config line is not key=value: {line!r}")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if value.lower() in ("true", "yes", "on"):
+            injected.append(f"--{key}")
+        elif value.lower() not in ("false", "no", "off"):
+            injected.extend([f"--{key}", value])
     # insert after the subcommand so explicit flags win over config values
     return argv[:2] + injected + argv[2:]
 
@@ -191,22 +193,31 @@ def _write_json(obj) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _value_flags(args) -> dict:
+    """The value flags given to `table` or `series`, as the keywords of
+    family_value/series_value, in the order x, alpha, l, lambda; the
+    rationals parsed exactly."""
+    given = {key: getattr(args, key, None) for key in ("x", "alpha", "l", "lam")}
+    return {key: value if key == "l" else parse_rational(value) for key, value in given.items() if value is not None}
+
+
+def _param_obj(flags: dict) -> dict:
+    """The JSON `params` object of the value flags given, in their order."""
+    return {"lambda" if key == "lam" else key: rational_str(value) for key, value in flags.items()}
+
+
 def cmd_table(args) -> int:
     if args.n < 0:
         raise UsageError("--n must be >= 0")
-    alpha = parse_rational(args.alpha) if args.alpha is not None else None
-    lam = parse_rational(args.lam) if args.lam is not None else None
+    flags = _value_flags(args)
     try:
-        values = [
-            _real(fam.family_value(args.family, n, alpha=alpha, l=args.l, lam=lam))
-            for n in range(args.n + 1)
-        ]
+        values = [_real(fam.family_value(args.family, n, **flags)) for n in range(args.n + 1)]
     except DomainError as exc:
         raise UsageError(str(exc)) from None
     if args.format == "json":
         payload = {
             "family": args.family,
-            "params": _param_obj(alpha=alpha, l=args.l, lam=lam),
+            "params": _param_obj(flags),
             "rows": [{"n": n, "value": _cell(v, True)} for n, v in enumerate(values)],
         }
         _write_json(payload)
@@ -216,16 +227,6 @@ def cmd_table(args) -> int:
         for n, v in enumerate(values):
             sys.stdout.write(f"{n}\t{_cell(v, False)}\n")
     return 0
-
-
-def _param_obj(**kwargs) -> dict:
-    out = {}
-    for key, value in kwargs.items():
-        if value is None:
-            continue
-        name = {"lam": "lambda"}.get(key, key)
-        out[name] = rational_str(value) if isinstance(value, Fraction) else str(value)
-    return out
 
 
 _GRID_INTS = ("nmax", "mmax", "nm_sum", "gf_mmax", "order")
@@ -303,27 +304,20 @@ def cmd_verify(args) -> int:
     return 1 if summary.failed else 0
 
 
-def _build_series(args) -> tuple[Series, dict, str | None]:
+def cmd_series(args) -> int:
     if args.order < 0:
         raise UsageError("--order must be >= 0")
-    x = parse_rational(args.x) if args.x is not None else None
-    alpha = parse_rational(args.alpha) if args.alpha is not None else None
-    lam = parse_rational(args.lam) if args.lam is not None else None
+    flags = _value_flags(args)
     try:
-        series, prefactor = fam.series_value(args.gf, args.order, x=x, alpha=alpha, l=args.l, lam=lam)
+        series, prefactor = fam.series_value(args.gf, args.order, **flags)
         _real(prefactor)
     except DomainError as exc:
         raise UsageError(str(exc)) from None
     prefactor = None if prefactor is None else str(prefactor)
-    return series, _param_obj(x=x, alpha=alpha, l=args.l, lam=lam), prefactor
-
-
-def cmd_series(args) -> int:
-    series, params, prefactor = _build_series(args)
     coeffs = series.coeff_strings()
     egf = [rational_str(series.egf_coeff(n)) for n in range(series.order + 1)]
     if args.format == "json":
-        payload = {"gf": args.gf, "params": params, "order": series.order,
+        payload = {"gf": args.gf, "params": _param_obj(flags), "order": series.order,
                    "coeffs": coeffs, "egf": egf}
         if prefactor:
             payload["prefactor"] = prefactor
@@ -350,11 +344,7 @@ def main(argv: list[str] | None = None) -> int:
             args = build_parser().parse_args(argv[1:])
         except SystemExit as exc:  # argparse reports its own usage errors
             return int(exc.code or 0)
-        if args.command == "table":
-            return cmd_table(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        return cmd_series(args)
+        return args.run(args)
     except (UsageError, DomainError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

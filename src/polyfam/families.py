@@ -2,8 +2,10 @@
 
 Families are memoized pure functions over exact rationals.  Wherever a family
 has both a closed-sum route and a generating-series route, both are exposed so
-the two can be cross-checked; the series builders here are also what the CLI
-``series`` subcommand prints.
+the two can be cross-checked.  The CLI's ``table`` and ``series`` subcommands
+reach them through two registries of one form, ``FAMILIES`` and ``SERIES``: a
+``Spec`` names the parameters a builder needs and the builder takes exactly
+those.
 
 Order-``a`` Euler-type values for non-integer rational ``a`` carry the shared
 irrational prefactor ``(2/(lam+1))^a``.  The public values ``apostol_euler_higher``
@@ -396,64 +398,58 @@ def gf_bernoulli_second_kind(order: int) -> Series:
 
 
 # ---------------------------------------------------------------------------
-# family and generating-series tables for the CLI
+# family and generating-series registries for the CLI
 # ---------------------------------------------------------------------------
 
-def _check_needs(what: str, needs: tuple[str, ...], given: dict) -> None:
-    """Raise DomainError naming the flag of every needed parameter left None."""
-    missing = [p for p in needs if given[p] is None]
-    if missing:
-        raise DomainError(f"{what} needs --{' --'.join(missing)}")
-
-
 @dataclass(frozen=True)
-class FamilySpec:
-    id: str
-    needs: tuple[str, ...]  # subset of ("alpha", "l", "lambda")
-    describe: str
-    value: Callable  # (n, alpha, l, lam) -> Poly, Fraction, ScaledRational or triangle row
+class Spec:
+    needs: tuple[str, ...]  # flag names, a subset of ("x", "alpha", "l", "lambda")
+    build: Callable  # (n, *needs) for a family, (*needs, order) for a series
 
 
-FAMILIES: dict[str, FamilySpec] = {
-    f.id: f
-    for f in [
-        FamilySpec("exponential-poly", (), "Bell/Touchard polynomials", lambda n, a, l, lam: exponential_poly(n)),
-        FamilySpec("bell", (), "Bell numbers", lambda n, a, l, lam: bell(n)),
-        FamilySpec("complementary-bell", (), "alternating-sign Bell numbers",
-                   lambda n, a, l, lam: complementary_bell(n)),
-        FamilySpec("geometric-poly", (), "geometric (Fubini) polynomials", lambda n, a, l, lam: geometric_poly(n)),
-        FamilySpec("fubini", (), "ordered Bell numbers", lambda n, a, l, lam: fubini(n)),
-        FamilySpec("general-geometric", ("alpha",), "geometric polynomials of rational order",
-                   lambda n, a, l, lam: general_geometric(n, a)),
-        FamilySpec("euler-classical", (), "Euler polynomial values at 0", lambda n, a, l, lam: euler_classical(n)),
-        FamilySpec("euler-higher", ("alpha",), "higher-order Euler numbers", lambda n, a, l, lam: euler_higher(n, a)),
-        FamilySpec("apostol-euler", ("lambda",), "Apostol-Euler numbers",
-                   lambda n, a, l, lam: apostol_euler_higher(n, 1, lam)),
-        FamilySpec("apostol-euler-higher", ("alpha", "lambda"), "higher-order Apostol-Euler numbers",
-                   lambda n, a, l, lam: apostol_euler_higher(n, a, lam)),
-        FamilySpec("bernoulli-classical", (), "Bernoulli numbers", lambda n, a, l, lam: bernoulli_classical(n)),
-        FamilySpec("bernoulli-higher", ("l",), "higher-order Bernoulli numbers",
-                   lambda n, a, l, lam: bernoulli_higher(n, l)),
-        FamilySpec("apostol-bernoulli", ("lambda",), "Apostol-Bernoulli numbers",
-                   lambda n, a, l, lam: apostol_bernoulli_higher(n, 1, lam)),
-        FamilySpec("apostol-bernoulli-higher", ("l", "lambda"), "higher-order Apostol-Bernoulli numbers",
-                   lambda n, a, l, lam: apostol_bernoulli_higher(n, l, lam)),
-        FamilySpec("bernoulli-second-kind", (), "Bernoulli numbers of the second kind",
-                   lambda n, a, l, lam: bernoulli_second_kind(n)),
-        FamilySpec("stirling2", (), "Stirling set-partition triangle", lambda n, a, l, lam: _SECOND.row(n)),
-        FamilySpec("stirling1-unsigned", (), "unsigned Stirling cycle triangle", lambda n, a, l, lam: _FIRST.row(n)),
-    ]
+def _lookup(registry: dict[str, Spec], kind: str, key: str, unknown: str, given: dict) -> tuple[Callable, list]:
+    """The builder registered under key and the values of its needs, read
+    from given by flag name; DomainError(unknown) for an unknown key, and a
+    DomainError naming the flag of every need left None."""
+    spec = registry.get(key)
+    if spec is None:
+        raise DomainError(unknown)
+    missing = [p for p in spec.needs if given[p] is None]
+    if missing:
+        raise DomainError(f"{kind} {key} needs --{' --'.join(missing)}")
+    return spec.build, [given[p] for p in spec.needs]
+
+
+# each builder calls its family function by module-global name, so that a
+# rebound global (a tracing wrapper, say) is what the CLI runs
+FAMILIES: dict[str, Spec] = {
+    "exponential-poly": Spec((), lambda n: exponential_poly(n)),
+    "bell": Spec((), lambda n: bell(n)),
+    "complementary-bell": Spec((), lambda n: complementary_bell(n)),
+    "geometric-poly": Spec((), lambda n: geometric_poly(n)),
+    "fubini": Spec((), lambda n: fubini(n)),
+    "general-geometric": Spec(("alpha",), lambda n, alpha: general_geometric(n, alpha)),
+    "euler-classical": Spec((), lambda n: euler_classical(n)),
+    "euler-higher": Spec(("alpha",), lambda n, alpha: euler_higher(n, alpha)),
+    "apostol-euler": Spec(("lambda",), lambda n, lam: apostol_euler_higher(n, 1, lam)),
+    "apostol-euler-higher": Spec(("alpha", "lambda"), lambda n, alpha, lam: apostol_euler_higher(n, alpha, lam)),
+    "bernoulli-classical": Spec((), lambda n: bernoulli_classical(n)),
+    "bernoulli-higher": Spec(("l",), lambda n, l: bernoulli_higher(n, l)),
+    "apostol-bernoulli": Spec(("lambda",), lambda n, lam: apostol_bernoulli_higher(n, 1, lam)),
+    "apostol-bernoulli-higher": Spec(("l", "lambda"), lambda n, l, lam: apostol_bernoulli_higher(n, l, lam)),
+    "bernoulli-second-kind": Spec((), lambda n: bernoulli_second_kind(n)),
+    "stirling2": Spec((), lambda n: _SECOND.row(n)),
+    "stirling1-unsigned": Spec((), lambda n: _FIRST.row(n)),
 }
 
 
 def family_value(fid: str, n: int, *, alpha: Rat | None = None, l: int | None = None, lam: Rat | None = None):
     """Value of family `fid` at index n; Poly, Fraction, ScaledRational, or
-    tuple of ints for triangle rows."""
-    spec = FAMILIES.get(fid)
-    if spec is None:
-        raise DomainError(f"unknown family id: {fid.strip() or '(empty)'}")
-    _check_needs(f"family {fid}", spec.needs, {"alpha": alpha, "l": l, "lambda": lam})
-    return spec.value(n, alpha, l, lam)
+    tuple of ints for triangle rows.  DomainError for an unknown id or a
+    parameter the family needs left None."""
+    build, values = _lookup(FAMILIES, "family", fid, f"unknown family id: {fid.strip() or '(empty)'}",
+                            {"alpha": alpha, "l": l, "lambda": lam})
+    return build(n, *values)
 
 
 def _apostol_euler_series(alpha: Rat, lam: Rat, order: int):
@@ -464,37 +460,23 @@ def _apostol_euler_series(alpha: Rat, lam: Rat, order: int):
     return gf_apostol_euler_mantissa(alpha, lam, order), scaled(1, euler_prefactor_base(lam), alpha)
 
 
-@dataclass(frozen=True)
-class SeriesSpec:
-    id: str
-    needs: tuple[str, ...]  # subset of ("x", "alpha", "l", "lambda")
-    build: Callable  # (x, alpha, l, lam, order) -> (Series, prefactor or None)
-
-
-SERIES: dict[str, SeriesSpec] = {
-    s.id: s
-    for s in [
-        SeriesSpec("exp-bell", ("x",), lambda x, a, l, lam, order: (gf_exp_bell(x, order), None)),
-        SeriesSpec("geometric", ("x",), lambda x, a, l, lam, order: (gf_geometric(x, order), None)),
-        SeriesSpec("general-geometric", ("x", "alpha"),
-                   lambda x, a, l, lam, order: (gf_general_geometric(x, a, order), None)),
-        SeriesSpec("apostol-euler", ("alpha", "lambda"),
-                   lambda x, a, l, lam, order: _apostol_euler_series(a, lam, order)),
-        SeriesSpec("apostol-bernoulli", ("l", "lambda"),
-                   lambda x, a, l, lam, order: (gf_apostol_bernoulli(l, lam, order), None)),
-        SeriesSpec("bernoulli-higher", ("l",), lambda x, a, l, lam, order: (gf_bernoulli_higher(l, order), None)),
-        SeriesSpec("bernoulli-second-kind", (),
-                   lambda x, a, l, lam, order: (gf_bernoulli_second_kind(order), None)),
-    ]
+SERIES: dict[str, Spec] = {
+    "exp-bell": Spec(("x",), lambda x, order: (gf_exp_bell(x, order), None)),
+    "geometric": Spec(("x",), lambda x, order: (gf_geometric(x, order), None)),
+    "general-geometric": Spec(("x", "alpha"), lambda x, alpha, order: (gf_general_geometric(x, alpha, order), None)),
+    "apostol-euler": Spec(("alpha", "lambda"), _apostol_euler_series),
+    "apostol-bernoulli": Spec(("l", "lambda"), lambda l, lam, order: (gf_apostol_bernoulli(l, lam, order), None)),
+    "bernoulli-higher": Spec(("l",), lambda l, order: (gf_bernoulli_higher(l, order), None)),
+    "bernoulli-second-kind": Spec((), lambda order: (gf_bernoulli_second_kind(order), None)),
 }
 
 
 def series_value(gid: str, order: int, *, x: Rat | None = None, alpha: Rat | None = None,
                  l: int | None = None, lam: Rat | None = None):
     """Generating series `gid` truncated at `order`, and its prefactor (a
-    ScaledRational or Fraction held outside the series, or None)."""
-    spec = SERIES.get(gid)
-    if spec is None:
-        raise DomainError(f"unknown generating series id {gid!r}; choose from {', '.join(SERIES)}")
-    _check_needs(f"series {gid}", spec.needs, {"x": x, "alpha": alpha, "l": l, "lambda": lam})
-    return spec.build(x, alpha, l, lam, order)
+    ScaledRational or Fraction held outside the series, or None).
+    DomainError for an unknown id or a parameter the series needs left None."""
+    build, values = _lookup(SERIES, "series", gid,
+                            f"unknown generating series id {gid!r}; choose from {', '.join(SERIES)}",
+                            {"x": x, "alpha": alpha, "l": l, "lambda": lam})
+    return build(*values, order)

@@ -690,6 +690,8 @@ def _chk_aux_wang(n, alpha, lam, x) -> list[Pair]:
 
 
 def _chk_aux_srivastava_luo(n, alpha, lam, x) -> list[Pair]:
+    if alpha != int(alpha):
+        raise SkipDomain("non-integer alpha: the Bernoulli-type order alpha must be a positive integer")
     alpha = int(alpha)
     if alpha < 1:
         raise SkipDomain("alpha < 1: the Bernoulli-type order alpha must be a positive integer")

@@ -327,6 +327,26 @@ def test_config_file_errors(tmp_path, capsys):
     assert code == 2
 
 
+def test_config_flag_is_read_as_the_subcommand_parses_it(tmp_path, capsys):
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text("id = spivey\nnmax = 2\nmmax = 3\nformat = json\n")
+    runs = [run_cli(capsys, "verify", *flag) for flag in (("--config", str(cfg)), ("--conf", str(cfg)),
+                                                           (f"--conf={cfg}",))]
+    assert runs[1:] == runs[:1] * 2
+    code, out, _ = runs[0]
+    assert code == 0 and json.loads(out)["summary"]["pass"] == 12
+    code, out, err = run_cli(capsys, "verify", "--id", "spivey", "--config")
+    assert code == 2 and out == "" and "--config: expected one argument" in err
+
+
+def test_config_file_not_utf8_is_a_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"id = spivey\n\xff\n")
+    code, out, err = run_cli(capsys, "verify", "--config", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: config file {bad} is not UTF-8 text") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "--id", "aux-wang", "--lambda", "1/0"),
     ("table", "--family", "general-geometric", "--alpha", "3/0"),

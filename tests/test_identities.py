@@ -143,6 +143,19 @@ def test_skipped_domain_lambda_one_on_explicit():
     assert passed and all(r.status == "pass" for r in passed)
 
 
+def test_skipped_domain_fractional_order_on_srivastava_luo():
+    # the order is refused, not truncated: alpha 5/2 must not be checked as 2
+    grid = GridConfig(nmax=2, int_alphas=(F(5, 2), 2), lambdas=(F(2),), xs=(F(1),))
+    reports = run_identity("aux-srivastava-luo", grid)
+    by_alpha = {}
+    for r in reports:
+        by_alpha.setdefault(r.params["alpha"], set()).add((r.status, r.reason))
+    assert by_alpha == {
+        "5/2": {("skipped-domain", "non-integer alpha: the Bernoulli-type order alpha must be a positive integer")},
+        "2": {("pass", "")},
+    }
+
+
 def test_skipped_domain_euler_pole():
     grid = GridConfig(nmax=1, mmax=1, nm_sum=2, int_alphas=(1,), frac_alphas=(), lambdas=(F(-1),))
     reports = run_identity("apostol-euler-recurrence", grid)
