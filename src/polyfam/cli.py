@@ -201,23 +201,20 @@ def _value_flags(args) -> dict:
     return {key: value if key == "l" else parse_rational(value) for key, value in given.items() if value is not None}
 
 
-def _param_obj(flags: dict) -> dict:
-    """The JSON `params` object of the value flags given, in their order."""
-    return {"lambda" if key == "lam" else key: rational_str(value) for key, value in flags.items()}
+def _param_obj(flags: dict, spec: fam.Spec) -> dict:
+    """The JSON `params` object: the value flags the spec reads, in the order of its needs."""
+    return {need: rational_str(flags["lam" if need == "lambda" else need]) for need in spec.needs}
 
 
 def cmd_table(args) -> int:
     if args.n < 0:
         raise UsageError("--n must be >= 0")
     flags = _value_flags(args)
-    try:
-        values = [_real(fam.family_value(args.family, n, **flags)) for n in range(args.n + 1)]
-    except DomainError as exc:
-        raise UsageError(str(exc)) from None
+    values = [_real(fam.family_value(args.family, n, **flags)) for n in range(args.n + 1)]
     if args.format == "json":
         payload = {
             "family": args.family,
-            "params": _param_obj(flags),
+            "params": _param_obj(flags, fam.FAMILIES[args.family]),
             "rows": [{"n": n, "value": _cell(v, True)} for n, v in enumerate(values)],
         }
         _write_json(payload)
@@ -308,16 +305,12 @@ def cmd_series(args) -> int:
     if args.order < 0:
         raise UsageError("--order must be >= 0")
     flags = _value_flags(args)
-    try:
-        series, prefactor = fam.series_value(args.gf, args.order, **flags)
-        _real(prefactor)
-    except DomainError as exc:
-        raise UsageError(str(exc)) from None
-    prefactor = None if prefactor is None else str(prefactor)
+    series, prefactor = fam.series_value(args.gf, args.order, **flags)
+    prefactor = None if prefactor is None else str(_real(prefactor))
     coeffs = series.coeff_strings()
     egf = [rational_str(series.egf_coeff(n)) for n in range(series.order + 1)]
     if args.format == "json":
-        payload = {"gf": args.gf, "params": _param_obj(flags), "order": series.order,
+        payload = {"gf": args.gf, "params": _param_obj(flags, fam.SERIES[args.gf]), "order": series.order,
                    "coeffs": coeffs, "egf": egf}
         if prefactor:
             payload["prefactor"] = prefactor

@@ -25,8 +25,8 @@ those ints (the ``_*_num`` bodies), is made a Fraction on return; the
 checkers read the integers for their own integer sums.
 
 The factors 1/(lam e^t +- 1) and 1 - x(e^t - 1) are cached once each
-(``_apostol_inverse``, ``_geometric_base``) for the ``gf_*`` builders and the
-checkers' series arguments.
+(``_apostol_inverse``, ``_geometric_base``); the Euler mantissa series is the
+general geometric series at x = -lam/(lam+1).
 """
 
 from __future__ import annotations
@@ -375,19 +375,19 @@ def gf_apostol_bernoulli(l: int, lam: Rat, order: int) -> Series:
 
 @lru_cache(maxsize=None)
 def gf_apostol_euler(alpha: int, lam: Rat, order: int) -> Series:
-    """(2/(lam e^t + 1))^alpha for integer alpha >= 1."""
+    """(2/(lam e^t + 1))^alpha for any integer alpha; 2/(lam+1) is nonzero off the pole."""
     _check_euler_pole(*_ratio(lam))
-    if not (isinstance(alpha, int) and alpha >= 1):
-        raise DomainError("plain series route needs integer alpha >= 1")
+    if not isinstance(alpha, int):
+        raise DomainError("plain series route needs an integer alpha")
     return (_apostol_inverse(lam, 1, order) * 2) ** alpha
 
 
-@lru_cache(maxsize=None)
 def gf_apostol_euler_mantissa(alpha: Rat, lam: Rat, order: int) -> Series:
-    """((lam+1)/(lam e^t + 1))^alpha: the series whose EGF coefficients are
-    the Euler mantissas, valid for any rational alpha."""
+    """((lam+1)/(lam e^t + 1))^alpha, whose EGF coefficients are the Euler
+    mantissas M_n = w_{n,alpha}(-lam/(lam+1)) for any rational alpha: the
+    general geometric series (1 - x(e^t - 1))^(-alpha) at x = -lam/(lam+1)."""
     _check_euler_pole(*_ratio(lam))
-    return binomial_power(_apostol_inverse(lam, 1, order) * (lam + 1), Fraction(alpha))
+    return gf_general_geometric(-Fraction(lam) / (lam + 1), alpha, order)
 
 
 @lru_cache(maxsize=None)
@@ -403,7 +403,7 @@ def gf_bernoulli_second_kind(order: int) -> Series:
 
 @dataclass(frozen=True)
 class Spec:
-    needs: tuple[str, ...]  # flag names, a subset of ("x", "alpha", "l", "lambda")
+    needs: tuple[str, ...]  # flag names, a subsequence of ("x", "alpha", "l", "lambda")
     build: Callable  # (n, *needs) for a family, (*needs, order) for a series
 
 

@@ -29,6 +29,13 @@ denominators (_sum_over_lcm).  A symbolic side is one coefficient row by
 degree, made a Poly once.  _bern_pair and _bern_poly_pair, the only value
 helpers that branch on lam = 1, give each Bernoulli-type value as an integer
 pair; _bern and _bern_poly make it a Fraction.
+
+A special case or application takes its right side from the statement it
+specialises, its left side on its own closed-sum route: gf-phi-base and
+gf-w-base are the shifts at m = 0; the Apostol shifts are gf-w-shift's series
+(_w_shift_series) at x = -lam/(lam+-1), times l!/(lam-1)^l on the Bernoulli
+side; apostol-bernoulli-diag-recurrence is apostol-bernoulli-recurrence at
+n = 0; fubini-explicit sums w-explicit's row, its value at x = 1.
 """
 
 from __future__ import annotations
@@ -87,7 +94,7 @@ class GridConfig:
     lambdas: tuple[Fraction, ...] = (F(2), F(1, 3), F(-3), F(5), F(1))
     xs: tuple[Fraction, ...] = (F(1), F(-1, 2), F(2, 3))
     order: int = 12
-    certify: bool = False     # set by the runner in lambda-certification mode
+    certify: bool = False     # set by the CLI's --lambda-certify
 
     def alphas(self) -> tuple[Fraction, ...]:
         return tuple(F(a) for a in self.int_alphas) + tuple(self.frac_alphas)
@@ -288,16 +295,9 @@ def _w_argument(x: Fraction, order: int) -> Series:
     return _phi_argument(x, order) * fam._geometric_base(x, order).inverse()
 
 
-@lru_cache(maxsize=None)
 def _apostol_argument(lam: Fraction, s: int, order: int) -> Series:
-    """-lam e^t / (lam e^t + s)."""
-    return (Series.exp_t(1, order) * (-lam)) * fam._apostol_inverse(lam, s, order)
-
-
-@lru_cache(maxsize=None)
-def _bernoulli_shift_prefactor(l: int, lam: Fraction, order: int) -> Series:
-    """l! / (lam e^t - 1)^l."""
-    return fam._apostol_inverse(lam, -1, order) ** l * factorial(l)
+    """-lam e^t / (lam e^t + s): the cached w argument at x = -lam/(lam + s)."""
+    return _w_argument(-lam / (lam + s), order)
 
 
 @lru_cache(maxsize=None)
@@ -356,34 +356,24 @@ def _chk_gf_phi_shift(m, x, order) -> list[Pair]:
     return [("", lhs, rhs)]
 
 
-def _chk_gf_phi_base(x, order) -> list[Pair]:
-    lhs = _euler_series_lhs(lambda n: fam.exponential_poly(n)(x), order)
-    return [("", lhs, fam.gf_exp_bell(x, order))]
+def _w_shift_series(m: int, alpha: Fraction, x: Fraction, order: int) -> Series:
+    """(1 - x(e^t - 1))^(-alpha) w_{m,alpha}(x e^t / (1 - x(e^t - 1))), the
+    generating series of w_{n+m,alpha}(x) t^n/n!, for alpha > 0."""
+    return fam.gf_general_geometric(x, alpha, order) * _eval_at(fam.general_geometric(m, alpha), _w_argument, x, order)
 
 
 def _chk_gf_w_shift(m, alpha, x, order) -> list[Pair]:
     _need_geometric_domain(alpha)
-    # (1 - x(e^t - 1))^(-alpha) is the base series itself
-    rhs = fam.gf_general_geometric(x, alpha, order) * _eval_at(
-        fam.general_geometric(m, alpha), _w_argument, x, order)
     lhs = _euler_series_lhs(lambda n: fam.general_geometric(n + m, alpha)(x), order)
-    return [("", lhs, rhs)]
-
-
-def _chk_gf_w_base(alpha, x, order) -> list[Pair]:
-    _need_geometric_domain(alpha)
-    lhs = _euler_series_lhs(lambda n: fam.general_geometric(n, alpha)(x), order)
-    return [("", lhs, fam.gf_general_geometric(x, alpha, order))]
+    return [("", lhs, _w_shift_series(m, alpha, x, order))]
 
 
 def _chk_gf_apostol_euler_shift(m, alpha, lam, order) -> list[Pair]:
     _need_euler_domain(lam)
     _need_geometric_domain(alpha)
-    # ((lam+1)/(lam e^t + 1))^alpha is the mantissa series itself
-    rhs = fam.gf_apostol_euler_mantissa(alpha, lam, order) * _eval_at(
-        fam.general_geometric(m, alpha), _apostol_argument, lam, 1, order)
+    # M_n = w_{n,alpha}(x) at x = -lam/(lam+1), where (1 - x(e^t-1))^(-alpha) = ((lam+1)/(lam e^t+1))^alpha
     lhs = _euler_series_lhs(lambda n: fam.apostol_euler_mantissa(n + m, alpha, lam), order)
-    return [("", lhs, rhs)]
+    return [("", lhs, _w_shift_series(m, alpha, -lam / (lam + 1), order))]
 
 
 def _chk_gf_apostol_bernoulli_shift(m, l, lam, order) -> list[Pair]:
@@ -391,8 +381,8 @@ def _chk_gf_apostol_bernoulli_shift(m, l, lam, order) -> list[Pair]:
         return _bern(n + m + l, l, lam) / binomial(n + m + l, l)
 
     if lam != 1:
-        rhs = _bernoulli_shift_prefactor(l, lam, order) * _eval_at(
-            fam.general_geometric(m, l), _apostol_argument, lam, -1, order)
+        # l!/(lam e^t - 1)^l = l!/(lam-1)^l (1 - x(e^t-1))^(-l) at x = -lam/(lam-1)
+        rhs = _w_shift_series(m, l, -lam / (lam - 1), order) * (factorial(l) / (lam - 1) ** l)
         return [("", _euler_series_lhs(values, order), rhs)]
     # classical limit: the right side has a pole of order l+m at t=0, so the
     # comparison clears t^{l+m} and checks the nonnegative-degree coefficients
@@ -424,21 +414,25 @@ def _chk_w_general_recurrence(n, m, alpha) -> list[Pair]:
     return [("", lhs, Poly(coeffs))]
 
 
-def _chk_w_explicit(n, m) -> list[Pair]:
-    row = [0] * (n + m + 1)  # sum_{k,j,i} {m,k} C(n,j) k^(n-j) {j,i} (i+k)! x^(k+i), by degree
+def _w_explicit_row(n: int, m: int) -> list[int]:
+    """sum_{k,j,i} {m,k} C(n,j) k^(n-j) {j,i} (i+k)! x^(k+i), by degree."""
+    row = [0] * (n + m + 1)
     for k in range(m + 1):
         for j in range(n + 1):
             c = stirling2(m, k) * binomial(n, j) * k ** (n - j)
             if c:
                 for i in range(j + 1):
                     row[k + i] += c * stirling2(j, i) * factorial(i + k)
-    return [("", fam.geometric_poly(n + m), Poly(row))]
+    return row
+
+
+def _chk_w_explicit(n, m) -> list[Pair]:
+    return [("", fam.geometric_poly(n + m), Poly(_w_explicit_row(n, m)))]
 
 
 def _chk_fubini_explicit(n, m) -> list[Pair]:
-    rhs = sum(stirling2(m, k) * binomial(n, j) * stirling2(j, i) * k ** (n - j) * factorial(i + k)
-              for k in range(m + 1) for j in range(n + 1) for i in range(j + 1))
-    return [("", fam.fubini(n + m), rhs)]
+    # the row's value at x = 1, summed without Poly.__call__, which the left side reads
+    return [("", fam.fubini(n + m), sum(_w_explicit_row(n, m)))]
 
 
 def _euler_shift_sum(n: int, m: int, alpha: Fraction, lam: Fraction) -> Fraction:
@@ -522,12 +516,9 @@ def _chk_apostol_euler_explicit(m, alpha, lam, order) -> list[Pair]:
     return pairs
 
 
-def _chk_apostol_bernoulli_recurrence(n, m, l, lam) -> list[Pair]:
-    lhs = _bern(n + m + l, l, lam) / (binomial(n + m + l, l) * l)
-    if lam == 1:
-        # classical limit: the order-(l+k) factors must stay fused with their
-        # e^{kt} shift, which turns the inner sum into polynomial values at x=k
-        return [("classical-limit", lhs, _bernoulli_shift_sum(n, m, l, lam))]
+def _bernoulli_recurrence_sum(n: int, m: int, l: int, lam: Fraction) -> Fraction:
+    """sum_{k,j} {m,k} C(n,j) (-lam)^k k^(n-j) B_{l+k+j}^{(l+k)}(lam) / ((l+k) C(l+k+j, j))
+    for lam != 1, one integer over the lcm of its terms."""
     p, q = lam.as_integer_ratio()  # (-lam)^k = (-p)^k / q^k
     terms = []
     for k in range(m + 1):
@@ -537,7 +528,16 @@ def _chk_apostol_bernoulli_recurrence(n, m, l, lam) -> list[Pair]:
                 num, den = _bern_pair(l + k + j, l + k, lam)
                 terms.append((s * binomial(n, j) * (-p) ** k * k ** (n - j) * num,
                               q**k * (l + k) * binomial(l + k + j, j) * den))
-    return [("", lhs, _sum_over_lcm(terms))]
+    return _sum_over_lcm(terms)
+
+
+def _chk_apostol_bernoulli_recurrence(n, m, l, lam) -> list[Pair]:
+    lhs = _bern(n + m + l, l, lam) / (binomial(n + m + l, l) * l)
+    if lam == 1:
+        # classical limit: the order-(l+k) factors must stay fused with their
+        # e^{kt} shift, which turns the inner sum into polynomial values at x=k
+        return [("classical-limit", lhs, _bernoulli_shift_sum(n, m, l, lam))]
+    return [("", lhs, _bernoulli_recurrence_sum(n, m, l, lam))]
 
 
 def _shifted_diagonal(m: int, l: int) -> tuple[Fraction, Fraction]:
@@ -554,16 +554,8 @@ def _chk_bernoulli_higher_recurrence(m, l) -> list[Pair]:
 
 def _chk_apostol_bernoulli_diag_recurrence(m, l, lam) -> list[Pair]:
     _need_apostol_bernoulli_domain(lam)
-    lhs = fam.apostol_bernoulli_higher(m + l, l, lam)
-    p, q = lam.as_integer_ratio()  # (-lam)^k = (-p)^k / q^k
-    scale = l * binomial(m + l, l)
-    terms = []
-    for k in range(m + 1):
-        s = stirling2(m, k)
-        if s:
-            num, den = _bern_pair(l + k, l + k, lam)
-            terms.append((scale * s * (-p) ** k * num, q**k * (l + k) * den))
-    return [("", lhs, _sum_over_lcm(terms))]
+    rhs = l * binomial(m + l, l) * _bernoulli_recurrence_sum(0, m, l, lam)
+    return [("", fam.apostol_bernoulli_higher(m + l, l, lam), rhs)]
 
 
 def _chk_apostol_bernoulli_explicit(n, l, lam, order) -> list[Pair]:
@@ -720,11 +712,11 @@ for _identity in [
     Identity("gf-phi-shift", "shifted Bell-polynomial series equals the composed exponential series",
              ("gm", "x"), ((_chk_gf_phi_shift, ("m", "x", "order")),)),
     Identity("gf-phi-base", "Bell-polynomial series in exponential form",
-             ("x",), ((_chk_gf_phi_base, ("x", "order")),)),
+             ("x",), ((partial(_chk_gf_phi_shift, 0), ("x", "order")),)),
     Identity("gf-w-shift", "shifted general geometric series equals the substituted binomial-power series",
              ("gm", "alpha", "x"), ((_chk_gf_w_shift, ("m", "alpha", "x", "order")),)),
     Identity("gf-w-base", "general geometric series as a binomial power",
-             ("alpha", "x"), ((_chk_gf_w_base, ("alpha", "x", "order")),)),
+             ("alpha", "x"), ((partial(_chk_gf_w_shift, 0), ("alpha", "x", "order")),)),
     Identity("gf-apostol-euler-shift", "shifted Euler-type number series via geometric polynomial substitution",
              ("gm", "alpha", "lambda"), ((_chk_gf_apostol_euler_shift, ("m", "alpha", "lambda", "order")),),
              _deg_bound_gf),

@@ -16,7 +16,7 @@ from math import comb, factorial
 from polyfam import families as fam
 from polyfam.identities import GridConfig, SkipDomain
 from polyfam.poly import Poly
-from polyfam.series import Series
+from polyfam.series import Series, binomial_power
 from polyfam.stirling import stirling1_unsigned, stirling2
 
 
@@ -622,10 +622,45 @@ def chk_gf_apostol_bernoulli_shift(pt):
     return [("pole-cleared", lhs, rhs)]
 
 
+def chk_gf_phi_base(pt):
+    """At the default order, with e^{x(e^t - 1)} built afresh."""
+    x, order = F(pt["x"]), GridConfig().order
+    lhs = Series([fam.exponential_poly(n)(x) / factorial(n) for n in range(order + 1)], order)
+    return [("", lhs, ((Series.exp_t(1, order) - 1) * x).exp())]
+
+
+def chk_gf_w_base(pt):
+    """At the default order, with (1 - x(e^t - 1))^(-alpha) built afresh."""
+    alpha, x, order = F(pt["alpha"]), F(pt["x"]), GridConfig().order
+    if alpha <= 0:
+        raise SkipDomain("alpha <= 0: general geometric polynomials need alpha > 0")
+    lhs = Series([fam.general_geometric(n, alpha)(x) / factorial(n) for n in range(order + 1)], order)
+    return [("", lhs, binomial_power(Series.one(order) - (Series.exp_t(1, order) - 1) * x, -alpha))]
+
+
+def chk_gf_apostol_euler_shift(pt):
+    """At the default order, with 1/(lam e^t + 1) built afresh and the
+    polynomial evaluated by Horner at its argument series."""
+    m, alpha, lam = pt["m"], F(pt["alpha"]), F(pt["lambda"])
+    order = GridConfig().order
+    _need_euler_domain(lam)
+    if alpha <= 0:
+        raise SkipDomain("alpha <= 0: general geometric polynomials need alpha > 0")
+    e = Series.exp_t(1, order)
+    inverse = (e * lam + 1).inverse()
+    rhs = binomial_power(inverse * (lam + 1), alpha) * eval_series_horner(
+        fam.general_geometric(m, alpha), e * (-lam) * inverse)
+    lhs = Series([fam.apostol_euler_mantissa(n + m, alpha, lam) / factorial(n) for n in range(order + 1)], order)
+    return [("", lhs, rhs)]
+
+
 OLD_CHECKERS = {
     "spivey": chk_spivey,
     "w-explicit": chk_w_explicit,
     "fubini-explicit": chk_fubini_explicit,
+    "gf-phi-base": chk_gf_phi_base,
+    "gf-w-base": chk_gf_w_base,
+    "gf-apostol-euler-shift": chk_gf_apostol_euler_shift,
     "gf-apostol-bernoulli-shift": chk_gf_apostol_bernoulli_shift,
     "w-general-recurrence": chk_w_general_recurrence,
     "apostol-euler-recurrence": chk_apostol_euler_recurrence,

@@ -251,91 +251,92 @@ TABLE_SHA256 = {
 
 # sha256 of the stdout of `table --family <id> <FAMILY_TABLE_ARGS> --format <fmt>`, one
 # entry per family id; every id gets all three value flags, so each JSON
-# `params` object pins the order alpha, l, lambda
+# `params` object pins that only the flags the family reads are reported, in
+# the order alpha, l, lambda
 FAMILY_TABLE_ARGS = ("--n", "12", "--alpha=5/2", "--l=2", "--lambda=-1/3")
 FAMILY_TABLE_SHA256 = {
     "exponential-poly": {
-        "json": "602dbed30dcee88f75496eea9fbbf34f08c8e37fdde4da6a6a0488932d1fddfd",
+        "json": "8b55b9dce9381309e5860bd4720e204e9c153e6e00aac10534d76155ecc589a9",
         "csv": "b8bd3c7ebb52f6ddf89355530258ea4adb397752206e6851120b3018b40bac93",
         "plain": "ad2a26f5267f5309c3248179df3a58eef97105e88d5713e7b308f1f98f19b2e0",
     },
     "bell": {
-        "json": "d41b1fa83e2b8ec79cdd952b1193a160d8e1e74b002fe7948abc2a7ad49f02bd",
+        "json": "9c0d9d166a0c4eaaee4d0eebf2e6a577269ab0168abf3ac0b90469f99acab477",
         "csv": "5de9ab8f5f0388b711748cd0fbe55fcc2fed7e4666c8e42392fe6b89573503b7",
         "plain": "7d05b05d8a1c610938b5878aff20e889b1d72860ff6e418a36eb69dba90955ae",
     },
     "complementary-bell": {
-        "json": "1732224d3685e89115f746e3efba4ab19a36b022b68ed20af268749755346e67",
+        "json": "8bec71cf636305e58ea619260d1ee6f20f4ddb0cf0d46bc9794907d58154a626",
         "csv": "d2ec4b944da384441a90d407d010f5e54f1addbdea2186ab88aa601e559f4578",
         "plain": "cc64af8c1b5d1c1c02e37609fa07ce254219c75d2de5edb6cc4c7e7a300163b7",
     },
     "geometric-poly": {
-        "json": "f0a2c0ce420e6d1ec54117579398fcfcc243f1c139a2d4ea67210ce09b3521e1",
+        "json": "35e1587926930e5095bf6ef05ba1fc1d0ba11654ce176f08f36f9a70f1fd1292",
         "csv": "9e4b7312066a9f8abc9462520e776c5e5a1d64666e537eaed1d7bfa9b4139ea7",
         "plain": "777eefc50113f327f799a1c0a01e95e7e292c3bd3247726808d8325735675d45",
     },
     "fubini": {
-        "json": "fa1dcbf6b2be5e5db3b8a5b31c5544bb1043e92afb375fa63b3e896fdd06c76d",
+        "json": "c531a582715dfea10bd38e468a15fa0ba4c1d6b81f605b90451816747e86411b",
         "csv": "18e6dd565160b52581bf361fd12600fe38cd89de33ca1baf66242cb0cc1c6e40",
         "plain": "0520ddbdcd1612dba5ee04827b1fc6b0c1e36104c19f1e143f776b1e2882a1e1",
     },
     "general-geometric": {
-        "json": "671dea64aad10b17bf94fe4ae60762d9879967a01dfd66b59115af35c8c024ea",
+        "json": "8c6ded6c6a662fc61a9a1e024b182ef78cedc356171b79da924b8cffefff99a8",
         "csv": "222d2330648d351a193c1c57c6bc5bc30fdd76cd18210299a7536651fef48fef",
         "plain": "d7d457326d3ef4970e94f41c40fc7b8c0b746219cf957b7f55beb20df6dca110",
     },
     "euler-classical": {
-        "json": "5a8776ad1e2906e0028e935316e57f87f0e0e7c567600e2e995b009ede67a4cb",
+        "json": "58bcaa07bf853b4214fee148dd2d2861d4cef6332b7bbd2a4204bfc74e3b51bf",
         "csv": "7d939ac07a8be3ea3f5a8b57dd1305ed7503e86bbeb79b08da6ce6529c08382f",
         "plain": "b5a2f9562c57826b249c6dab344e8bcfaa65cf36cd423ec1797e63511d3c4c0f",
     },
     "euler-higher": {
-        "json": "0d0f6f2a4879cef77c333c0feb1e7f2b9e72a4a06e13b111ebaf4e6d57cd9a2c",
+        "json": "581815702b951674246291154febaeebcc736b85fb09a181ce5ff8fad81d1424",
         "csv": "232fee3852da3ba394c054685cdcefd99c6ff9aad8c9fdc1f54c17f1a6006a01",
         "plain": "0891b3460ea7e9ac73e7540c113b34ea14480fe5be96861461040f79888eff01",
     },
     "apostol-euler": {
-        "json": "d46574b50a1652de77fa317af18d97bd7a95f778bdaab372d09e6d70d700acee",
+        "json": "2e4f066474eb7b541bb6061002d8b83d4f592d2962b84db2cb86dd8e7653a884",
         "csv": "411e35bba4ee8539f2379a068a71f08a3e54df353a0eb3d97d0896cd0ccd0dc7",
         "plain": "e032aa9b5ecd5a2dcbff51b2af7ca3890cf9fbb0ee299dfa62130e38ad072e0c",
     },
     "apostol-euler-higher": {
-        "json": "25d59023e135b293ef9676449ec68168be83c58fe8e9ee2bfc9fff148da7d77e",
+        "json": "f40cb9503e45d50e484818021afa888830cffea8e06bb80343bf215b408386c2",
         "csv": "10b20038fa6ea5492c7c80fd94ce1138d85723e68600eef062e9e6f345e7b636",
         "plain": "2800604b9a100071d789e936d6954ad7df41fb8fae997c4d60eb9916871df13c",
     },
     "bernoulli-classical": {
-        "json": "24d7f2e24427a039567d08fc159090873b3800cff263e85534644b41e5370654",
+        "json": "b85d550959391ea5b3dc38f6483d6c23f97beb21dd11b3a82797f8bda8f40a8e",
         "csv": "c939a815b7edb858579aa81f1d133b90a0ad31a5bad9cabff230986f0526b563",
         "plain": "844b97ed6cbd74f0005740608b233dfa6ead0ab0e28391bbaf5f36461633d773",
     },
     "bernoulli-higher": {
-        "json": "04451987bae68df0d424c400aec57c8ed42a95b89cc0f2f9bc2744c111f13ef3",
+        "json": "49d884b8020eab46a4fb66ee62b8078f4cd0dfc7c3b5562519ee4d3eb786cb87",
         "csv": "d957b7434dc1b531431ff15b9e0f01b4548564d4ee61f543f0a2197bcba9c6da",
         "plain": "77599bdaf67f7beeb00f0558a25b657dca09e1e820258b8bc5a19752f970fe3c",
     },
     "apostol-bernoulli": {
-        "json": "41cf275a667a60dc0b810016015d4e62a725ecdebf75c0a8260694b3b88ce6b7",
+        "json": "d7c4a3dc1644318af3fe7cad506d3df1bf2bd43289fdd2091499497ef353ec70",
         "csv": "d1e2ca5cecdb923e122bbfb32a2bbd71f3d42171630a13f796e5649c230df6c0",
         "plain": "c4766fff6117dfc0f56a9c0bb1ce820f7fb80d4c5a14999b855bf86e9db02c46",
     },
     "apostol-bernoulli-higher": {
-        "json": "4fb00d9ab117f36853e5a50987593a39fd37f8968a7e63d53c1b3fe0fbd16644",
+        "json": "b396f0e050e130d182643076b8839cbeab823c8a338dc498c9fc3ba11c057611",
         "csv": "78fdc0b359fae656533c9b0636bf556ab954a14d8cb1743145022252cb955756",
         "plain": "844fc4689d219e1eb1a69e170b96bb973c627ee49bcbe9c80b0565010f8bd2df",
     },
     "bernoulli-second-kind": {
-        "json": "43096aa63359a7260fa7d3185942a83dad278db46fcb00001ddf6acc192744e1",
+        "json": "8c3cad11e8a49ad511823df4566f4ca2de5c7d8ec857de74a5daa9bfba4027b5",
         "csv": "2e8c6933966c487fb11bd5169332eda75094db27ad8f457610f3ec617f00229c",
         "plain": "e60ec4f8ec3d4506f5e9d04968f13deea7f1d94897c2cbc173e0e227778ce2a6",
     },
     "stirling2": {
-        "json": "b14cebf8883562f95dc0052639fa0dcc428c7de23433394d1e782f37a4653b87",
+        "json": "ba39dea38178686dcbf5f217b3d5cadba6f0e86e491bff64ebbbbdfb57b9c130",
         "csv": "01b312341839dbba56dadcdd98e655cbbc47c03e685a8d03e344bbbf44a67eb4",
         "plain": "ca4c74c37b95d53d1ceffc9601da2fef0f7ebb761a72edff8f950d427e10cab5",
     },
     "stirling1-unsigned": {
-        "json": "9624dffea7b95c3187d85198eb9dafd983d111170918306fb0a3eda777bb52ee",
+        "json": "8e492db5a8e4b9d3ef076745f5e490e3ffd0b564ad9f7cb7220d3909b163d720",
         "csv": "3d252f72c4b979733831c2ff6155aab49b26425993980d19dd8e4db896517e4a",
         "plain": "b5093e31f05d3424b62696164f1ea5d9d51fec589058bef661faa45e3855efb1",
     },

@@ -142,6 +142,39 @@ def test_series_fractional_alpha_prefactor(capsys):
     assert payload["egf"][0] == "1"
 
 
+@pytest.mark.parametrize("alpha", ["0", "-1", "-2"])
+def test_series_apostol_euler_takes_integer_orders_below_one(capsys, alpha):
+    code, out, _ = run_cli(capsys, "series", "--gf", "apostol-euler", "--alpha", alpha, "--lambda", "2",
+                           "--order", "6", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert "prefactor" not in payload
+    code, out, _ = run_cli(capsys, "table", "--family", "apostol-euler-higher", "--alpha", alpha, "--lambda", "2",
+                           "--n", "6", "--format", "json")
+    assert code == 0
+    assert payload["egf"] == [row["value"] for row in json.loads(out)["rows"]]
+
+
+FLAG_VALUES = {"x": "1", "alpha": "2", "l": "1", "lambda": "2"}
+
+
+@pytest.mark.parametrize("command, key, registry", [
+    ("table", "--family", fam.FAMILIES), ("series", "--gf", fam.SERIES),
+])
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+def test_an_unread_value_flag_leaves_the_bytes_unchanged(capsys, command, key, registry, fmt):
+    flags = ("alpha", "l", "lambda") + (("x",) if command == "series" else ())
+    for spec_id, spec in registry.items():
+        needed = [f"--{k}={FLAG_VALUES[k]}" for k in spec.needs]
+        unread = [f"--{k}={FLAG_VALUES[k]}" for k in flags if k not in spec.needs]
+        argv = [command, key, spec_id, "--n" if command == "table" else "--order", "3", "--format", fmt]
+        code, want, _ = run_cli(capsys, *argv, *needed)
+        assert code == 0, spec_id
+        assert run_cli(capsys, *argv, *unread, *needed) == (0, want, ""), spec_id
+        if fmt == "json":
+            assert list(json.loads(want)["params"]) == [k for k in ("x", "alpha", "l", "lambda") if k in spec.needs]
+
+
 def test_verify_subset_json(capsys):
     code, out, _ = run_cli(capsys, "verify", "--id", "spivey", "--nmax", "8", "--mmax", "4",
                            "--format", "json")

@@ -1,3 +1,4 @@
+import inspect
 import json
 from dataclasses import replace
 from fractions import Fraction as F
@@ -58,6 +59,15 @@ def test_halves_name_the_keys_of_their_slots():
             assert set(half_keys) <= keys | {"order"}, identity.id
         # an axis that no half reads would repeat identical checks
         assert keys <= {k for _, half_keys in identity.halves for k in half_keys}, identity.id
+
+
+def test_halves_take_their_keys_as_parameters():
+    # a half is called with its keys' values positionally, so its parameters
+    # must be those keys in that order; the parameter lam reads the key lambda
+    for identity in REGISTRY.values():
+        for fn, keys in identity.halves:
+            params = tuple("lambda" if p == "lam" else p for p in inspect.signature(fn).parameters)
+            assert params == keys, identity.id
 
 
 def test_only_identities_of_two_or_more_halves_fill_the_half_memo():

@@ -107,8 +107,8 @@ CAUGHT_BY = {
     "Series.__mul__ product coefficient 2 + 1": {
         "apostol-bernoulli-explicit", "apostol-bernoulli-recurrence", "apostol-euler-explicit",
         "aux-srivastava-luo", "bernoulli-higher-recurrence", "diag-bernoulli-values",
-        "gf-apostol-bernoulli-shift", "gf-apostol-euler-shift", "gf-phi-shift", "gf-w-shift",
-        "poly-shift-prop", "poly-shift-theorem",
+        "gf-apostol-bernoulli-shift", "gf-apostol-euler-shift", "gf-phi-base", "gf-phi-shift", "gf-w-base",
+        "gf-w-shift", "poly-shift-prop", "poly-shift-theorem",
     },
     "Series.exp coefficient 2 + 1": {
         "gf-phi-base", "gf-phi-shift",
@@ -148,7 +148,8 @@ CAUGHT_BY = {
         "diag-bernoulli-values", "finite-sums", "poly-shift-prop", "poly-shift-theorem",
     },
     "binomial_power coefficient 3 + 1/7": {
-        "apostol-euler-explicit", "gf-apostol-euler-shift", "gf-w-base", "gf-w-shift",
+        "apostol-euler-explicit", "gf-apostol-bernoulli-shift", "gf-apostol-euler-shift", "gf-w-base",
+        "gf-w-shift",
     },
     "euler_prefactor_base x2": {
         "apostol-euler-explicit", "aux-wang", "poly-shift-theorem",
@@ -161,7 +162,8 @@ CAUGHT_BY = {
         "w-general-recurrence",
     },
     "linear_combination coefficient 1 + 1/3": {
-        "gf-apostol-bernoulli-shift", "gf-apostol-euler-shift", "gf-phi-shift", "gf-w-shift",
+        "gf-apostol-bernoulli-shift", "gf-apostol-euler-shift", "gf-phi-base", "gf-phi-shift", "gf-w-base",
+        "gf-w-shift",
     },
 }
 
