@@ -24,9 +24,9 @@ denominator its docstring states.  One cached integer per value, keyed by
 those ints (the ``_*_num`` bodies), is made a Fraction on return; the
 checkers read the integers for their own integer sums.
 
-The factors 1/(lam e^t +- 1) and 1 - x(e^t - 1) are cached once each
-(``_apostol_inverse``, ``_geometric_base``); the Euler mantissa series is the
-general geometric series at x = -lam/(lam+1).
+Every Apostol-type series reads the cached geometric series G(x) =
+1/(1 - x(e^t - 1)) (``gf_geometric``), which is (lam+-1)/(lam e^t +- 1) at
+x = -lam/(lam+-1); the Euler mantissa series is the general one at that x.
 """
 
 from __future__ import annotations
@@ -337,21 +337,10 @@ def gf_exp_bell(x: Rat, order: int) -> Series:
 
 
 @lru_cache(maxsize=None)
-def _geometric_base(x: Rat, order: int) -> Series:
-    """1 - x(e^t - 1)."""
-    return Series.one(order) - (Series.exp_t(1, order) - 1) * Fraction(x)
-
-
-@lru_cache(maxsize=None)
-def _apostol_inverse(lam: Rat, s: int, order: int) -> Series:
-    """1/(lam e^t + s): s = 1 on the Euler side, s = -1 on the Bernoulli side."""
-    return (Series.exp_t(1, order) * lam + s).inverse()
-
-
-@lru_cache(maxsize=None)
 def gf_general_geometric(x: Rat, alpha: Rat, order: int) -> Series:
     """(1 - x(e^t - 1))^{-alpha}, exact for any rational alpha."""
-    return binomial_power(_geometric_base(x, order), -Fraction(alpha))
+    base = Series.one(order) - (Series.exp_t(1, order) - 1) * Fraction(x)
+    return binomial_power(base, -Fraction(alpha))
 
 
 def gf_geometric(x: Rat, order: int) -> Series:
@@ -368,18 +357,20 @@ def gf_bernoulli_higher(l: int, order: int) -> Series:
 
 @lru_cache(maxsize=None)
 def gf_apostol_bernoulli(l: int, lam: Rat, order: int) -> Series:
-    """(t/(lam e^t - 1))^l for lam != 1."""
+    """(t/(lam e^t - 1))^l for lam != 1: (t G(x)/(lam-1))^l at x = -lam/(lam-1)."""
     _check_apostol_bernoulli_domain(l, *_ratio(lam))
-    return (Series.t(order) * _apostol_inverse(lam, -1, order)) ** l
+    lam = Fraction(lam)
+    return (Series.t(order) * gf_geometric(-lam / (lam - 1), order) * (1 / (lam - 1))) ** l
 
 
 @lru_cache(maxsize=None)
 def gf_apostol_euler(alpha: int, lam: Rat, order: int) -> Series:
-    """(2/(lam e^t + 1))^alpha for any integer alpha; 2/(lam+1) is nonzero off the pole."""
+    """(2/(lam e^t + 1))^alpha = (2/(lam+1) G(x))^alpha at x = -lam/(lam+1), for any integer alpha."""
     _check_euler_pole(*_ratio(lam))
     if not isinstance(alpha, int):
         raise DomainError("plain series route needs an integer alpha")
-    return (_apostol_inverse(lam, 1, order) * 2) ** alpha
+    lam = Fraction(lam)
+    return (gf_geometric(-lam / (lam + 1), order) * (2 / (lam + 1))) ** alpha
 
 
 def gf_apostol_euler_mantissa(alpha: Rat, lam: Rat, order: int) -> Series:

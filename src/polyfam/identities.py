@@ -35,7 +35,9 @@ specialises, its left side on its own closed-sum route: gf-phi-base and
 gf-w-base are the shifts at m = 0; the Apostol shifts are gf-w-shift's series
 (_w_shift_series) at x = -lam/(lam+-1), times l!/(lam-1)^l on the Bernoulli
 side; apostol-bernoulli-diag-recurrence is apostol-bernoulli-recurrence at
-n = 0; fubini-explicit sums w-explicit's row, its value at x = 1.
+n = 0; fubini-explicit sums w-explicit's row, its value at x = 1.  Every
+Apostol-type series factor, and _w_argument, reads the cached geometric series
+families.gf_geometric, so no series here inverts lam e^t +- 1.
 """
 
 from __future__ import annotations
@@ -187,12 +189,18 @@ class Identity:
     description: str
     slots: tuple[str, ...]  # keys of SLOTS
     halves: tuple[Half, ...]
-    lambda_degree_bound: Callable[[GridConfig], int] | None = None
     check: Callable[[dict, GridConfig], list[Pair]] = None  # derived from halves unless given
 
     def __post_init__(self):
         if self.check is None:
             object.__setattr__(self, "check", _halves(self.halves))
+
+    @property
+    def lambda_degree_bound(self) -> Callable[[GridConfig], int] | None:
+        """The --lambda-certify degree bound: the series one for a shift in m ("gm")."""
+        if "lambda" not in self.slots:
+            return None
+        return _deg_bound_gf if "gm" in self.slots else _deg_bound_rec
 
 
 REGISTRY: dict[str, Identity] = {}
@@ -292,12 +300,7 @@ def _phi_argument(x: Fraction, order: int) -> Series:
 @lru_cache(maxsize=None)
 def _w_argument(x: Fraction, order: int) -> Series:
     """x e^t / (1 - x(e^t - 1))."""
-    return _phi_argument(x, order) * fam._geometric_base(x, order).inverse()
-
-
-def _apostol_argument(lam: Fraction, s: int, order: int) -> Series:
-    """-lam e^t / (lam e^t + s): the cached w argument at x = -lam/(lam + s)."""
-    return _w_argument(-lam / (lam + s), order)
+    return _phi_argument(x, order) * fam.gf_geometric(x, order)
 
 
 @lru_cache(maxsize=None)
@@ -718,11 +721,10 @@ for _identity in [
     Identity("gf-w-base", "general geometric series as a binomial power",
              ("alpha", "x"), ((partial(_chk_gf_w_shift, 0), ("alpha", "x", "order")),)),
     Identity("gf-apostol-euler-shift", "shifted Euler-type number series via geometric polynomial substitution",
-             ("gm", "alpha", "lambda"), ((_chk_gf_apostol_euler_shift, ("m", "alpha", "lambda", "order")),),
-             _deg_bound_gf),
+             ("gm", "alpha", "lambda"), ((_chk_gf_apostol_euler_shift, ("m", "alpha", "lambda", "order")),)),
     Identity("gf-apostol-bernoulli-shift",
              "shifted Bernoulli-type number series via geometric polynomial substitution",
-             ("gm", "l", "lambda"), ((_chk_gf_apostol_bernoulli_shift, ("m", "l", "lambda", "order")),), _deg_bound_gf),
+             ("gm", "l", "lambda"), ((_chk_gf_apostol_bernoulli_shift, ("m", "l", "lambda", "order")),)),
     Identity("w-general-recurrence", "order-raising recurrence for general geometric polynomials, symbolic in x",
              ("nm", "alpha"), ((_chk_w_general_recurrence, ("n", "m", "alpha")),)),
     Identity("w-explicit", "closed triple sum for geometric polynomials, symbolic in x",
@@ -730,51 +732,42 @@ for _identity in [
     Identity("fubini-explicit", "closed triple sum for ordered Bell numbers",
              ("nm",), ((_chk_fubini_explicit, ("n", "m")),)),
     Identity("apostol-euler-recurrence", "order-raising recurrence for Euler-type numbers",
-             ("nm", "alpha", "lambda"), ((_chk_apostol_euler_recurrence, ("n", "m", "alpha", "lambda")),),
-             _deg_bound_rec),
+             ("nm", "alpha", "lambda"), ((_chk_apostol_euler_recurrence, ("n", "m", "alpha", "lambda")),)),
     Identity("apostol-euler-explicit", "closed Stirling sum for Euler-type numbers against the series route",
-             ("m", "alpha", "lambda"), ((_chk_apostol_euler_explicit, ("m", "alpha", "lambda", "order")),),
-             _deg_bound_rec),
+             ("m", "alpha", "lambda"), ((_chk_apostol_euler_explicit, ("m", "alpha", "lambda", "order")),)),
     Identity("apostol-bernoulli-recurrence", "order-raising recurrence for Bernoulli-type numbers",
-             ("nm", "l", "lambda"), ((_chk_apostol_bernoulli_recurrence, ("n", "m", "l", "lambda")),),
-             _deg_bound_rec),
+             ("nm", "l", "lambda"), ((_chk_apostol_bernoulli_recurrence, ("n", "m", "l", "lambda")),)),
     Identity("bernoulli-higher-recurrence",
              "diagonal recurrences for higher-order Bernoulli numbers and their inverse transform",
              ("m", "l"), ((_chk_bernoulli_higher_recurrence, ("m", "l")),)),
     Identity("apostol-bernoulli-diag-recurrence", "diagonal-order recurrence for Bernoulli-type numbers",
-             ("m", "l", "lambda"), ((_chk_apostol_bernoulli_diag_recurrence, ("m", "l", "lambda")),), _deg_bound_rec),
+             ("m", "l", "lambda"), ((_chk_apostol_bernoulli_diag_recurrence, ("m", "l", "lambda")),)),
     Identity("apostol-bernoulli-explicit", "closed Stirling sum for Bernoulli-type numbers against the series route",
-             ("n", "l", "lambda"), ((_chk_apostol_bernoulli_explicit, ("n", "l", "lambda", "order")),), _deg_bound_rec),
+             ("n", "l", "lambda"), ((_chk_apostol_bernoulli_explicit, ("n", "l", "lambda", "order")),)),
     Identity("apostol-bernoulli-classical", "first-order Bernoulli-type numbers through geometric polynomial values",
-             ("n", "lambda"), ((_chk_apostol_bernoulli_classical, ("n", "lambda")),), _deg_bound_rec),
+             ("n", "lambda"), ((_chk_apostol_bernoulli_classical, ("n", "lambda")),)),
     Identity("w-connections",
              "geometric polynomial values at distinguished points give the Euler/Bernoulli-type families",
              ("n", "alpha", "l", "lambda"),
              ((_connection_euler, ("n", "alpha", "lambda")), (_connection_bernoulli, ("n", "l", "lambda")),
-              (_connection_classical, ("n", "alpha", "l"))),
-             _deg_bound_rec),
+              (_connection_classical, ("n", "alpha", "l")))),
     Identity("poly-shift-prop", "shift of the second index into polynomial arguments, number form",
              ("nm", "l", "alpha", "lambda"),
-             ((_prop_euler, ("n", "m", "alpha", "lambda")), (_prop_bernoulli, ("n", "m", "l", "lambda"))),
-             _deg_bound_rec),
+             ((_prop_euler, ("n", "m", "alpha", "lambda")), (_prop_bernoulli, ("n", "m", "l", "lambda")))),
     Identity("poly-shift-theorem", "inverse-transform shift into polynomial arguments, with reflections",
              ("nm", "l", "alpha", "lambda"),
-             ((_theorem_euler, ("n", "m", "alpha", "lambda")), (_theorem_bernoulli, ("n", "m", "l", "lambda"))),
-             _deg_bound_rec),
+             ((_theorem_euler, ("n", "m", "alpha", "lambda")), (_theorem_bernoulli, ("n", "m", "l", "lambda")))),
     Identity("finite-sums", "closed forms for alternating first-kind Stirling sums over both families",
              ("m", "l", "alpha", "lambda"),
-             ((_finite_sums_euler, ("m", "alpha", "lambda")), (_finite_sums_bernoulli, ("m", "l", "lambda"))),
-             _deg_bound_rec),
+             ((_finite_sums_euler, ("m", "alpha", "lambda")), (_finite_sums_bernoulli, ("m", "l", "lambda")))),
     Identity("diag-bernoulli-values", "diagonal higher-order Bernoulli polynomial values and the second-kind link",
              ("m", "l"), ((_chk_diag_bernoulli_values, ("m", "l")),)),
     Identity("aux-wang", "order-raising relation for Euler-type polynomials",
-             ("n", "alpha", "lambda", "x"), ((_chk_aux_wang, ("n", "alpha", "lambda", "x")),), _deg_bound_rec),
+             ("n", "alpha", "lambda", "x"), ((_chk_aux_wang, ("n", "alpha", "lambda", "x")),)),
     Identity("aux-srivastava-luo", "order-raising relation for Bernoulli-type polynomials",
-             ("n", "int_alpha", "lambda", "x"), ((_chk_aux_srivastava_luo, ("n", "alpha", "lambda", "x")),),
-             _deg_bound_rec),
+             ("n", "int_alpha", "lambda", "x"), ((_chk_aux_srivastava_luo, ("n", "alpha", "lambda", "x")),)),
     Identity("aux-euler-reflection", "reflection of Euler-type polynomials across half the order",
-             ("n", "alpha", "lambda", "x"), ((_chk_aux_euler_reflection, ("n", "alpha", "lambda", "x")),),
-             _deg_bound_rec),
+             ("n", "alpha", "lambda", "x"), ((_chk_aux_euler_reflection, ("n", "alpha", "lambda", "x")),)),
 ]:
     _register(_identity)
 

@@ -292,6 +292,19 @@ def exp_by_sum(u: list[Fraction]) -> list[Fraction]:
     return out
 
 
+# -- the Apostol-type series builders that the geometric series replaced ------
+# Each inverts lam e^t -+ 1 afresh, instead of reading (1 - x(e^t - 1))^(-1).
+
+def gf_apostol_bernoulli_by_inverse(l: int, lam: Fraction, order: int) -> Series:
+    """(t/(lam e^t - 1))^l."""
+    return (Series.t(order) * (Series.exp_t(1, order) * lam - 1).inverse()) ** l
+
+
+def gf_apostol_euler_by_inverse(alpha: int, lam: Fraction, order: int) -> Series:
+    """(2/(lam e^t + 1))^alpha."""
+    return ((Series.exp_t(1, order) * lam + 1).inverse() * 2) ** alpha
+
+
 # -- the Fraction checker bodies that the identity checkers replaced ----------
 # Each takes a grid point and returns its (label, lhs, rhs) pairs term by term,
 # reading the same family values as the package's checkers; what they check is

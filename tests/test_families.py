@@ -20,6 +20,8 @@ from .oracles import (
     euler_zero_values,
     exponential_poly_recurrence,
     fubini_by_enumeration,
+    gf_apostol_bernoulli_by_inverse,
+    gf_apostol_euler_by_inverse,
     gregory_by_integration,
     stirling2_row_by_enumeration,
 )
@@ -181,6 +183,34 @@ def test_apostol_bernoulli_series_route():
             series = fam.gf_apostol_bernoulli(l, lam, 16)
             for n in range(17):
                 assert series.egf_coeff(n) == fam.apostol_bernoulli_higher(n, l, lam)
+
+
+def _clear_family_caches():
+    for obj in vars(fam).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+
+
+# each integer lambda also as a plain int, which a library caller may pass
+BUILDER_LAMBDAS = [F(2), F(1, 3), F(-3), F(5), F(0), 2, -3, 5, 0]
+
+
+@pytest.mark.parametrize("lam", BUILDER_LAMBDAS, ids=repr)
+@pytest.mark.parametrize("order", [0, 1, 12, 30])
+def test_apostol_series_builders_match_their_inverse_route(lam, order):
+    # cold caches, so that an int lam is not served a value cached under its Fraction
+    _clear_family_caches()
+    try:
+        for l in range(1, 5):
+            got = fam.gf_apostol_bernoulli(l, lam, order)
+            assert got == gf_apostol_bernoulli_by_inverse(l, F(lam), order), l
+            assert all(type(c) is F for c in got.coeffs)
+        for alpha in range(-2, 5):
+            got = fam.gf_apostol_euler(alpha, lam, order)
+            assert got == gf_apostol_euler_by_inverse(alpha, F(lam), order), alpha
+            assert all(type(c) is F for c in got.coeffs)
+    finally:
+        _clear_family_caches()
 
 
 def test_apostol_bernoulli_rejects_lambda_one():

@@ -114,10 +114,8 @@ CAUGHT_BY = {
         "gf-phi-base", "gf-phi-shift",
     },
     "Series.inverse coefficient 2 + 1": {
-        "apostol-bernoulli-explicit", "apostol-bernoulli-recurrence", "apostol-euler-explicit",
-        "aux-srivastava-luo", "bernoulli-higher-recurrence", "diag-bernoulli-values",
-        "gf-apostol-bernoulli-shift", "gf-apostol-euler-shift", "gf-w-shift", "poly-shift-prop",
-        "poly-shift-theorem",
+        "apostol-bernoulli-recurrence", "aux-srivastava-luo", "bernoulli-higher-recurrence",
+        "diag-bernoulli-values", "gf-apostol-bernoulli-shift", "poly-shift-prop", "poly-shift-theorem",
     },
     "Stirling [3,1] + 1": {
         "bernoulli-higher-recurrence", "diag-bernoulli-values", "finite-sums", "poly-shift-theorem",
@@ -148,8 +146,8 @@ CAUGHT_BY = {
         "diag-bernoulli-values", "finite-sums", "poly-shift-prop", "poly-shift-theorem",
     },
     "binomial_power coefficient 3 + 1/7": {
-        "apostol-euler-explicit", "gf-apostol-bernoulli-shift", "gf-apostol-euler-shift", "gf-w-base",
-        "gf-w-shift",
+        "apostol-bernoulli-explicit", "apostol-euler-explicit", "gf-apostol-bernoulli-shift",
+        "gf-apostol-euler-shift", "gf-w-base", "gf-w-shift",
     },
     "euler_prefactor_base x2": {
         "apostol-euler-explicit", "aux-wang", "poly-shift-theorem",

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyfam.cli import _apply_config, _grid_from_args, build_parser
-from polyfam.identities import GridConfig, _apostol_argument, _eval_at, _phi_argument, _w_argument, run_all
+from polyfam.identities import GridConfig, _eval_at, _phi_argument, _w_argument, run_all
 from polyfam.poly import Poly
 from polyfam.series import Series, linear_combination
 
@@ -58,10 +58,6 @@ def test_linear_combination_matches_fraction_sum(pairs, order):
 def test_power_table_evaluation_matches_horner(p, c, order):
     assert _eval_at(p, _phi_argument, c, order) == eval_series_horner(p, _phi_argument(c, order))
     assert _eval_at(p, _w_argument, c, order) == eval_series_horner(p, _w_argument(c, order))
-    for s in (1, -1):
-        if c != -s:  # lam e^t + s needs a nonzero constant term
-            want = eval_series_horner(p, _apostol_argument(c, s, order))
-            assert _eval_at(p, _apostol_argument, c, s, order) == want
 
 
 def test_power_table_grows_past_earlier_degrees():

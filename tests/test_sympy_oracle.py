@@ -56,3 +56,12 @@ def test_integer_order_apostol_euler_from_sympy_series(alpha, lam):
     lam_sym = sympy.Rational(lam.numerator, lam.denominator)
     want = _egf_values((2 / (lam_sym * sympy.exp(t) + 1)) ** alpha, ORDER)
     assert [fam.apostol_euler_higher(n, alpha, lam) for n in range(ORDER + 1)] == want
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+@pytest.mark.parametrize("lam", [F(2), F(1, 3), F(-3), F(0)])
+def test_apostol_bernoulli_from_sympy_series(l, lam):
+    lam_sym = sympy.Rational(lam.numerator, lam.denominator)
+    want = _egf_values((t / (lam_sym * sympy.exp(t) - 1)) ** l, ORDER)
+    assert [fam.gf_apostol_bernoulli(l, lam, ORDER).egf_coeff(n) for n in range(ORDER + 1)] == want
+    assert [fam.apostol_bernoulli_higher(n, l, lam) for n in range(ORDER + 1)] == want
