@@ -20,9 +20,10 @@ The closed sums are integers.  With alpha = a/b, lam = p/q and x0 = u/v from
 ``as_integer_ratio()``, every Apostol-type number is a general geometric
 polynomial value w_{n,a}(x) (``_geometric_num``) and every polynomial value an
 Appell sum over a row of numbers (``_appell_num``), each one integer over a
-denominator its docstring states.  One cached integer per value, keyed by
-those ints (the ``_*_num`` bodies), is made a Fraction on return; the
-checkers read the integers for their own integer sums.
+denominator its docstring states; an Euler mantissa is ``_geometric_num`` at
+x = -lam/(lam+1).  One cached integer per value, keyed by those ints (the
+``_*_num`` bodies), is made a Fraction on return; the checkers read the
+integers for their own integer sums.
 
 Every Apostol-type series reads the cached geometric series G(x) =
 1/(1 - x(e^t - 1)) (``gf_geometric``), which is (lam+-1)/(lam e^t +- 1) at
@@ -151,6 +152,7 @@ def euler_classical(n: int) -> Rat:
 # the two integer kernels of the Apostol-type closed sums
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _geometric_num(n: int, a: int, b: int, u: int, v: int) -> int:
     """(bv)^n w_{n,a/b}(u/v) = sum_k {n,k} a(a+b)...(a+(k-1)b) u^k (bv)^(n-k),
     by Horner in bv.  Kept apart from general_geometric, so that w-connections
@@ -286,16 +288,10 @@ def _check_euler_pole(p: int, q: int) -> None:
 def apostol_euler_mantissa(n: int, alpha: Rat, lam: Rat) -> Rat:
     """M with E_n^{(a)}(lam) = (2/(lam+1))^a M; M = w_{n,a}(-lam/(lam+1)), the
     closed Stirling sum sum_k {n,k} a(a+1)...(a+k-1) (-lam/(lam+1))^k, one
-    integer over d^n, d = b(p+q), for a = a/b and lam = p/q (_euler_num)."""
+    integer over d^n, d = b(p+q), for a = a/b and lam = p/q (_geometric_num)."""
     (a, b), (p, q) = _ratio(alpha), _ratio(lam)
     _check_euler_pole(p, q)
-    return Fraction(_euler_num(n, a, b, p, q), (b * (p + q)) ** n)
-
-
-@lru_cache(maxsize=None)
-def _euler_num(n: int, a: int, b: int, p: int, q: int) -> int:
-    """The mantissa M_n at alpha = a/b, lam = p/q, times (b(p+q))^n."""
-    return _geometric_num(n, a, b, -p, p + q)
+    return Fraction(_geometric_num(n, a, b, -p, p + q), (b * (p + q)) ** n)
 
 
 def apostol_euler_poly_mantissa(n: int, alpha: Rat, x0: Rat, lam: Rat) -> Rat:
@@ -308,7 +304,7 @@ def apostol_euler_poly_mantissa(n: int, alpha: Rat, x0: Rat, lam: Rat) -> Rat:
 
 @lru_cache(maxsize=None)
 def _euler_poly_num(n: int, a: int, b: int, p: int, q: int, u: int, v: int) -> int:
-    return _appell_num(n, lambda k: _euler_num(k, a, b, p, q), b * (p + q) * u, v)
+    return _appell_num(n, lambda k: _geometric_num(k, a, b, -p, p + q), b * (p + q) * u, v)
 
 
 def apostol_euler_higher(n: int, alpha: Rat, lam: Rat):

@@ -35,8 +35,11 @@ specialises, its left side on its own closed-sum route: gf-phi-base and
 gf-w-base are the shifts at m = 0; the Apostol shifts are gf-w-shift's series
 (_w_shift_series) at x = -lam/(lam+-1), times l!/(lam-1)^l on the Bernoulli
 side; apostol-bernoulli-diag-recurrence is apostol-bernoulli-recurrence at
-n = 0; fubini-explicit sums w-explicit's row, its value at x = 1.  Every
-Apostol-type series factor, and _w_argument, reads the cached geometric series
+n = 0.  spivey checks Spivey's integer row {n+m, d} (_spivey_row), and
+w-general-recurrence, w-explicit (alpha = 1) and fubini-explicit (its sum, the
+value at x = 1) read it through x^d -> alpha(alpha+1)...(alpha+d-1) x^d, which
+takes phi_{n+m} to w_{n+m,alpha} (_geometric_row).  Every Apostol-type series
+factor, and _w_argument, reads the cached geometric series
 families.gf_geometric, so no series here inverts lam e^t +- 1.
 """
 
@@ -47,7 +50,7 @@ import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import chain
+from itertools import accumulate, chain
 from math import prod
 from operator import itemgetter
 from typing import Callable, Sequence
@@ -341,16 +344,26 @@ def certification_lambdas(bound: int) -> tuple[Fraction, ...]:
 # checkers
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _spivey_row(n: int, m: int) -> tuple[int, ...]:
+    """Spivey's row R_d = sum_{k+i=d} sum_j {m,k} C(n,j) k^(n-j) {j,i}, the
+    coefficients of sum_{k,j} {m,k} C(n,j) k^(n-j) x^k phi_j(x) = phi_{n+m}(x)."""
+    return tuple(sum(stirling2(m, k) * binomial(n, j) * k ** (n - j) * stirling2(j, d - k)
+                     for k in range(min(d, m) + 1) for j in range(d - k, n + 1))
+                 for d in range(n + m + 1))
+
+
+def _geometric_row(n: int, m: int, a: int, b: int = 1) -> list[int]:
+    """Spivey's row under x^d -> alpha(alpha+1)...(alpha+d-1) x^d: at alpha = a/b,
+    coefficient d is this integer R_d a(a+b)...(a+(d-1)b) over b^d.  Kept apart
+    from general_geometric, the left side's route, so that w-general-recurrence
+    compares two code paths."""
+    rising = accumulate(range(n + m), lambda r, d: r * (a + d * b), initial=1)
+    return [c * r for c, r in zip(_spivey_row(n, m), rising)]
+
+
 def _chk_spivey(n, m) -> list[Pair]:
-    row = [0] * (n + m + 1)  # sum_k C(n,k) sum_j {m,j} j^(n-k) x^j phi_k(x), by degree
-    for k in range(n + 1):
-        phi_k = fam.exponential_poly(k).coeffs
-        for j in range(m + 1):
-            coef = binomial(n, k) * stirling2(m, j) * j ** (n - k)
-            if coef:
-                for i, c in enumerate(phi_k):
-                    row[j + i] += coef * c.numerator
-    return [("", fam.exponential_poly(n + m), Poly(row))]
+    return [("", fam.exponential_poly(n + m), Poly(_spivey_row(n, m)))]
 
 
 def _chk_gf_phi_shift(m, x, order) -> list[Pair]:
@@ -403,39 +416,18 @@ def _chk_gf_apostol_bernoulli_shift(m, l, lam, order) -> list[Pair]:
 
 def _chk_w_general_recurrence(n, m, alpha) -> list[Pair]:
     _need_geometric_domain(alpha)
-    lhs = fam.general_geometric(n + m, alpha)
-    coeffs = [F(0)] * (n + m + 1)
-    rising = F(1)  # alpha(alpha+1)...(alpha+k-1), carried across k
-    for k in range(m + 1):
-        base = stirling2(m, k) * rising
-        for j in range(n + 1):
-            coef = base * binomial(n, j) * k ** (n - j)
-            if coef:
-                for i, c in enumerate(fam.general_geometric(j, alpha + k).coeffs):
-                    coeffs[k + i] += coef * c
-        rising *= alpha + k
-    return [("", lhs, Poly(coeffs))]
-
-
-def _w_explicit_row(n: int, m: int) -> list[int]:
-    """sum_{k,j,i} {m,k} C(n,j) k^(n-j) {j,i} (i+k)! x^(k+i), by degree."""
-    row = [0] * (n + m + 1)
-    for k in range(m + 1):
-        for j in range(n + 1):
-            c = stirling2(m, k) * binomial(n, j) * k ** (n - j)
-            if c:
-                for i in range(j + 1):
-                    row[k + i] += c * stirling2(j, i) * factorial(i + k)
-    return row
+    a, b = alpha.as_integer_ratio()
+    rhs = Poly(F(c, b**d) for d, c in enumerate(_geometric_row(n, m, a, b)))
+    return [("", fam.general_geometric(n + m, alpha), rhs)]
 
 
 def _chk_w_explicit(n, m) -> list[Pair]:
-    return [("", fam.geometric_poly(n + m), Poly(_w_explicit_row(n, m)))]
+    return [("", fam.geometric_poly(n + m), Poly(_geometric_row(n, m, 1)))]
 
 
 def _chk_fubini_explicit(n, m) -> list[Pair]:
     # the row's value at x = 1, summed without Poly.__call__, which the left side reads
-    return [("", fam.fubini(n + m), sum(_w_explicit_row(n, m)))]
+    return [("", fam.fubini(n + m), sum(_geometric_row(n, m, 1)))]
 
 
 def _euler_shift_sum(n: int, m: int, alpha: Fraction, lam: Fraction) -> Fraction:
@@ -458,7 +450,7 @@ def _euler_stirling1_sum(lo: int, m: int, alpha: Fraction, lam: Fraction) -> Fra
     """sum_k (-1)^k [m,k] M_{lo+k}, one integer over d^(lo+m) as in _euler_shift_sum."""
     (a, b), (p, q) = alpha.as_integer_ratio(), lam.as_integer_ratio()
     d = b * (p + q)
-    terms = ((-1) ** k * stirling1_unsigned(m, k) * fam._euler_num(lo + k, a, b, p, q) * d ** (m - k)
+    terms = ((-1) ** k * stirling1_unsigned(m, k) * fam._geometric_num(lo + k, a, b, -p, p + q) * d ** (m - k)
              for k in range(m + 1))
     return F(sum(terms), d ** (lo + m))
 

@@ -214,6 +214,11 @@ VERIFY_ALL_SECONDS = None
 VERIFY_ALL_SHA256 = "1a3d006f9e05edcc1ca5433e1bfa2a57a01b62bfcf04e566eb15cb7abcebc740"
 # sha256 of the stdout of `verify --all --perturb --format json`, the negative control
 PERTURB_SHA256 = "5f984fb3e266a525a5359792d00c6614da74ee42ae37500f2937344d704ceb05"
+# sha256 of the stdout of `verify --all --format <fmt>` in the contract's other two formats
+VERIFY_ALL_FORMAT_SHA256 = {
+    "plain": "206062a63ba3b27455d46ab011711fd8be674903d315e3aafcb5154cfb3d35ce",
+    "csv": "d0e347822ae0280481df5fd998450eec249d549de31957b84a76be05af55ab01",
+}
 
 # sha256 of the stdout of `table --family <id> <args> --format <fmt>`
 TABLE_SHA256 = {
@@ -420,6 +425,14 @@ def test_criterion_09_perturb_bytes():
             assert proc.returncode == 1
             assert hashlib.sha256(proc.stdout.encode()).hexdigest() == PERTURB_SHA256, jobs
             assert json.loads(proc.stdout)["summary"] == {"pass": 0, "fail": 23086, "skipped": 297}
+
+
+def test_criterion_09_plain_and_csv_bytes():
+    with _Budget("9 plain and csv bytes", 120.0):
+        for fmt, digest in VERIFY_ALL_FORMAT_SHA256.items():
+            proc = _run_cli("verify", "--all", "--format", fmt)
+            assert proc.returncode == 0
+            assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest, fmt
 
 
 def test_criterion_09_table_bytes():

@@ -1,6 +1,7 @@
 """The family kernels with integer cache keys and integer rows, and the checker
-sums over them, against their old Fraction bodies (in oracles.py); the public
-family signatures with int and Fraction arguments."""
+sums over them, against their old Fraction bodies (in oracles.py); Spivey's
+row against the Stirling triangle; the public family signatures with int and
+Fraction arguments."""
 
 import re
 from fractions import Fraction as F
@@ -10,7 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from polyfam import families as fam
-from polyfam.identities import REGISTRY, GridConfig, SkipDomain
+from polyfam.identities import REGISTRY, GridConfig, SkipDomain, _spivey_row
 from polyfam.rationals import DomainError
 
 from .oracles import (
@@ -18,6 +19,8 @@ from .oracles import (
     apostol_bernoulli_poly_naive,
     apostol_euler_poly_mantissa_naive,
     bernoulli_higher_poly_naive,
+    stirling2_by_recurrence,
+    stirling2_row_by_enumeration,
 )
 
 # the grid's special values (poles, lambda = 0 and 1, lambda < -1) drawn on purpose
@@ -123,3 +126,13 @@ def test_domain_errors_keep_their_text(call, message, one):
     with pytest.raises(DomainError) as caught:
         call(one)
     assert str(caught.value) == message
+
+
+def test_spivey_row_is_the_stirling_row():
+    # {n+m, d} = sum_{k+i=d} sum_j {m,k} C(n,j) k^(n-j) {j,i}, the identity behind
+    # spivey, w-explicit, fubini-explicit and w-general-recurrence, beyond the grid
+    for n in range(21):
+        for m in range(21):
+            assert list(_spivey_row(n, m)) == stirling2_by_recurrence(n + m), (n, m)
+            if n + m <= 9:
+                assert list(_spivey_row(n, m)) == stirling2_row_by_enumeration(n + m), (n, m)
