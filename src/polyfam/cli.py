@@ -15,6 +15,7 @@ import re
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 from itertools import islice
 
 from . import families as fam
@@ -47,13 +48,13 @@ def _int_list(text: str) -> list[int]:
     return [int(v) for v in values]
 
 
+@cache  # one parser per process: parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="polyfam", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, run, help: str) -> argparse.ArgumentParser:
+    def command(name: str, help: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
-        p.set_defaults(run=run)
         p.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
         p.add_argument("--config", help="flat key=value file mirroring the flags")
         return p
@@ -63,12 +64,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--l", type=int, default=None)
         p.add_argument("--lambda", dest="lam", type=str, default=None)
 
-    t = command("table", cmd_table, "emit n -> value rows for a family")
+    t = command("table", "emit n -> value rows for a family")
     t.add_argument("--family", required=True)
     t.add_argument("--n", type=int, default=8, help="largest index to emit")
     values(t)
 
-    v = command("verify", cmd_verify, "run identity checks over a grid")
+    v = command("verify", "run identity checks over a grid")
     v.add_argument("--jobs", type=int, default=1,
                    help="worker processes; at N > 1 whole identities run in min(N, ids) processes, same output")
     v.add_argument("--all", action="store_true", help="run every registered identity")
@@ -89,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="replace the lambda grid with enough points to certify rational-function identities")
     v.add_argument("--timing", action="store_true", help="record per-point wall time (non-deterministic output)")
 
-    s = command("series", cmd_series, "print a generating series")
+    s = command("series", "print a generating series")
     s.add_argument("--gf", required=True, help=f"one of: {', '.join(fam.SERIES)}")
     s.add_argument("--x", type=str, default=None)
     values(s)
@@ -97,14 +98,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# reads --config the way the subcommand's parser will, abbreviations included;
+# a malformed one is left for that parser to report
+_CONFIG_PARSER = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+_CONFIG_PARSER.add_argument("--config")
+
+
 def _apply_config(argv: list[str]) -> list[str]:
     """Prepend config-file values so explicit flags override them."""
-    # read --config the way the subcommand's parser will, abbreviations included;
-    # a malformed one is left for that parser to report
-    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
-    pre.add_argument("--config")
     try:
-        path = pre.parse_known_args(argv[1:])[0].config
+        path = _CONFIG_PARSER.parse_known_args(argv[1:])[0].config
     except argparse.ArgumentError:
         return argv
     if path is None:
@@ -337,7 +340,8 @@ def main(argv: list[str] | None = None) -> int:
             args = build_parser().parse_args(argv[1:])
         except SystemExit as exc:  # argparse reports its own usage errors
             return int(exc.code or 0)
-        return args.run(args)
+        # looked up at each call, not held by the cached parser, so a rebound command runs
+        return {"table": cmd_table, "verify": cmd_verify, "series": cmd_series}[args.command](args)
     except (UsageError, DomainError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

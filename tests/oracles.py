@@ -16,6 +16,7 @@ from math import comb, factorial
 from polyfam import families as fam
 from polyfam.identities import GridConfig, SkipDomain
 from polyfam.poly import Poly
+from polyfam.rationals import sum_over_lcm
 from polyfam.series import Series, binomial_power
 from polyfam.stirling import stirling1_unsigned, stirling2
 
@@ -289,6 +290,33 @@ def exp_by_sum(u: list[Fraction]) -> list[Fraction]:
     out = [Fraction(0)] * len(u)
     for j, p in enumerate(_powers_of(list(u))):
         out = [o + v / factorial(j) for o, v in zip(out, p)]
+    return out
+
+
+# -- the per-step series recurrences that the EGF-number kernels replaced ------
+# Step i sums its terms, the step's factor folded into each, as one integer over
+# the lcm of their own denominators, in ordinary coefficients.
+
+def exp_by_steps(u: Series) -> list[Fraction]:
+    """exp(u) from f' = u'f: step i sums (k u_k / i) f_{i-k} over k = 1..i."""
+    ku = [(k * num, den) for k, (num, den) in enumerate(map(Fraction.as_integer_ratio, u.coeffs))]
+    out, f = [Fraction(1)], []
+    for i in range(1, u.order + 1):
+        f.append(out[-1].as_integer_ratio())
+        out.append(sum_over_lcm((un * fn, i * ud * fd) for (un, ud), (fn, fd) in zip(ku[i:0:-1], f)))
+    return out
+
+
+def binomial_power_by_steps(a: Series, r: Fraction) -> list[Fraction]:
+    """(1 + u)^r by Miller's recurrence: for r = p/q step i sums the terms
+    a_k f_{i-k}, weighted (k(p+q) - iq)/(iq), over k = 1..i."""
+    p, q = Fraction(r).as_integer_ratio()
+    c = list(map(Fraction.as_integer_ratio, a.coeffs))
+    out, f = [Fraction(1)], []
+    for i in range(1, a.order + 1):
+        f.append(out[-1].as_integer_ratio())
+        terms = zip(range(i, 0, -1), c[i:0:-1], f)  # (k, a_k, f_{i-k}) for k = i..1
+        out.append(sum_over_lcm(((k * (p + q) - i * q) * an * fn, i * q * ad * fd) for k, (an, ad), (fn, fd) in terms))
     return out
 
 

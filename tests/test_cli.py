@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 from fractions import Fraction as F
@@ -5,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from polyfam import cli
 from polyfam import families as fam
 from polyfam.cli import _apply_config, _grid_from_args, build_parser, main
 from polyfam.identities import GridConfig
@@ -318,9 +320,11 @@ def test_config_file_false_leaves_the_flag_out(tmp_path, capsys):
     assert json.loads(out)["summary"]["pass"] == 12
 
 
+PRESET = Path(__file__).resolve().parent.parent / "scripts" / "certify_lambda.cfg"
+
+
 def test_certify_lambda_preset_grid():
-    preset = Path(__file__).resolve().parent.parent / "scripts" / "certify_lambda.cfg"
-    argv = _apply_config(["polyfam", "verify", "--config", str(preset)])
+    argv = _apply_config(["polyfam", "verify", "--config", str(PRESET)])
     args = build_parser().parse_args(argv[1:])
     assert args.all and args.format == "plain"
     assert _grid_from_args(args) == GridConfig(
@@ -435,3 +439,54 @@ def test_verify_all_skips_the_orders_a_route_cannot_take(capsys, alphas):
     if alphas == "0":
         for identity_id in PASSING_AT_ALPHA_0:
             assert {r["status"] for r in by_id[identity_id]} == {"pass"}, identity_id
+
+
+# -- one parser per process: nothing a call parses reaches the next call -------
+
+def test_the_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_an_id_list_does_not_leak_into_the_next_verify(capsys):
+    run_cli(capsys, "verify", "--id", "spivey", "--nmax", "2", "--mmax", "2")
+    code, out, _ = run_cli(capsys, "verify", "--id", "w-explicit", "--nmax", "2", "--mmax", "2", "--format", "csv")
+    assert code == 0
+    assert {row.split(",")[0] for row in out.splitlines()[1:-1]} == {"w-explicit"}
+
+
+def test_a_config_run_leaves_no_value_for_the_next_run(capsys):
+    argv = ("verify", "--id", "apostol-euler-recurrence")
+    _, before, _ = run_cli(capsys, *argv)
+    assert run_cli(capsys, "verify", "--config", str(PRESET), "--list")[0] == 0
+    _, after, _ = run_cli(capsys, *argv)
+    assert after == before and "certified-degree" not in after
+    assert not build_parser().parse_args(["verify"]).lambda_certify
+
+
+def test_a_command_rebound_after_the_parser_is_built_is_the_one_that_runs(capsys, monkeypatch):
+    build_parser()
+    monkeypatch.setattr(cli, "cmd_series", lambda args: 7)
+    assert main(["series", "--gf", "exp-bell", "--x", "1"]) == 7
+
+
+def test_table_after_series_keeps_the_default_n(capsys):
+    run_cli(capsys, "series", "--gf", "exp-bell", "--x", "1", "--order", "3")
+    code, out, _ = run_cli(capsys, "table", "--family", "bell", "--format", "csv")
+    assert code == 0 and len(out.splitlines()) == 9
+
+
+def test_main_builds_no_parser_after_the_first(capsys, monkeypatch):
+    run_cli(capsys, "verify", "--list")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in [("verify", "--list"), ("table", "--family", "bell", "--n", "2"),
+                 ("series", "--gf", "exp-bell", "--x", "1", "--order", "2"),
+                 ("verify", "--config", str(PRESET), "--list"), ("table", "--family", "nope")] * 2:
+        run_cli(capsys, *argv)
+    assert built == []

@@ -1,6 +1,7 @@
 """The integer closed sums and the O(n^2) series recurrences against naive
-Fraction references (term-by-term sums, power sums and the plain inverse
-recurrence, in oracles.py)."""
+Fraction references (term-by-term sums, power sums, the plain inverse
+recurrence and the per-step recurrences in ordinary coefficients, in
+oracles.py)."""
 
 from fractions import Fraction as F
 from math import comb
@@ -9,13 +10,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyfam import families as fam
+from polyfam.identities import GridConfig
 from polyfam.rationals import gen_binomial
-from polyfam.series import Series, binomial_power
+from polyfam.series import Series, binomial_power, expm1_over_t
 
 from .oracles import (
     apostol_bernoulli_higher_naive,
     apostol_euler_mantissa_naive,
+    binomial_power_by_steps,
     binomial_power_by_sum,
+    exp_by_steps,
     exp_by_sum,
     gen_binomial_by_product,
     general_geometric_coeffs_naive,
@@ -113,3 +117,41 @@ def test_inverse_matches_recurrence_on_sparse_series(c0, runs, order):
         coeffs += [F(0)] * (gap - 1) + [c]
     s = Series(coeffs[: order + 1], order)
     assert list(s.inverse().coeffs) == inverse_by_recurrence(list(s.coeffs))
+
+
+# The bases the families hand the two EGF-number kernels, at the depth the
+# `series` op reaches: 1 - x(e^t - 1) and x(e^t - 1) at every grid x and at
+# x = -lam/(lam +- 1) for every default lam, with the grid's orders as exponents.
+_GRID = GridConfig()
+_XS = sorted(set(_GRID.xs) | {-lam / (lam + s) for lam in _GRID.lambdas for s in (1, -1) if lam + s})
+_EXPONENTS = sorted({sign * r for r in _GRID.alphas() + tuple(map(F, _GRID.ls)) for sign in (1, -1)})
+
+
+def test_binomial_power_matches_steps_on_the_geometric_bases():
+    for x in _XS:
+        base = Series.one(64) - (Series.exp_t(1, 64) - 1) * x
+        for r in _EXPONENTS:
+            assert list(binomial_power(base, r).coeffs) == binomial_power_by_steps(base, r), (x, r)
+
+
+def test_exp_matches_steps_on_the_bell_bases():
+    for x in _XS:
+        u = (Series.exp_t(1, 64) - 1) * x
+        assert list(u.exp().coeffs) == exp_by_steps(u), x
+
+
+def test_kernels_match_steps_at_orders_0_and_1():
+    for order in (0, 1):
+        base = Series([1, F(-7, 3)], order)
+        for r in (F(0), F(1), F(-1), F(-5, 2)):
+            assert list(binomial_power(base, r).coeffs) == binomial_power_by_steps(base, r)
+        u = Series([0, F(4, 9)], order)
+        assert list(u.exp().coeffs) == exp_by_steps(u)
+
+
+def test_kernels_match_steps_on_expm1_over_t():
+    base = expm1_over_t(64)
+    for r in (F(0), F(1), F(-1), F(-3), F(3, 2), F(-5, 7)):
+        assert list(binomial_power(base, r).coeffs) == binomial_power_by_steps(base, r), r
+    u = base - 1
+    assert list(u.exp().coeffs) == exp_by_steps(u)
