@@ -4,8 +4,8 @@ Families are memoized pure functions over exact rationals.  Wherever a family
 has both a closed-sum route and a generating-series route, both are exposed so
 the two can be cross-checked.  The CLI's ``table`` and ``series`` subcommands
 reach them through two registries of one form, ``FAMILIES`` and ``SERIES``: a
-``Spec`` names the parameters a builder needs and the builder takes exactly
-those.
+``Spec`` holds a builder, whose parameters besides ``n`` and ``order`` are the
+flags it needs (``Spec.needs``, read once at import).
 
 Order-``a`` Euler-type values for non-integer rational ``a`` carry the shared
 irrational prefactor ``(2/(lam+1))^a``.  The public values ``apostol_euler_higher``
@@ -32,7 +32,8 @@ x = -lam/(lam+-1); the Euler mantissa series is the general one at that x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import inspect
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -388,10 +389,19 @@ def gf_bernoulli_second_kind(order: int) -> Series:
 # family and generating-series registries for the CLI
 # ---------------------------------------------------------------------------
 
+def _parameter_keys(fn: Callable, drop: tuple[str, ...] = ()) -> tuple[str, ...]:
+    """The keys fn reads: its parameters, lam as "lambda", less drop and a
+    partial's bound arguments.  Read once per function, when it is registered."""
+    return tuple("lambda" if p == "lam" else p for p in inspect.signature(fn).parameters if p not in drop)
+
+
 @dataclass(frozen=True)
 class Spec:
-    needs: tuple[str, ...]  # flag names, a subsequence of ("x", "alpha", "l", "lambda")
     build: Callable  # (n, *needs) for a family, (*needs, order) for a series
+    needs: tuple[str, ...] = field(init=False)  # the builder's other parameters, in the order x, alpha, l, lambda
+
+    def __post_init__(self):
+        object.__setattr__(self, "needs", _parameter_keys(self.build, ("n", "order")))
 
 
 def _lookup(registry: dict[str, Spec], kind: str, key: str, unknown: str, given: dict) -> tuple[Callable, list]:
@@ -410,23 +420,23 @@ def _lookup(registry: dict[str, Spec], kind: str, key: str, unknown: str, given:
 # each builder calls its family function by module-global name, so that a
 # rebound global (a tracing wrapper, say) is what the CLI runs
 FAMILIES: dict[str, Spec] = {
-    "exponential-poly": Spec((), lambda n: exponential_poly(n)),
-    "bell": Spec((), lambda n: bell(n)),
-    "complementary-bell": Spec((), lambda n: complementary_bell(n)),
-    "geometric-poly": Spec((), lambda n: geometric_poly(n)),
-    "fubini": Spec((), lambda n: fubini(n)),
-    "general-geometric": Spec(("alpha",), lambda n, alpha: general_geometric(n, alpha)),
-    "euler-classical": Spec((), lambda n: euler_classical(n)),
-    "euler-higher": Spec(("alpha",), lambda n, alpha: euler_higher(n, alpha)),
-    "apostol-euler": Spec(("lambda",), lambda n, lam: apostol_euler_higher(n, 1, lam)),
-    "apostol-euler-higher": Spec(("alpha", "lambda"), lambda n, alpha, lam: apostol_euler_higher(n, alpha, lam)),
-    "bernoulli-classical": Spec((), lambda n: bernoulli_classical(n)),
-    "bernoulli-higher": Spec(("l",), lambda n, l: bernoulli_higher(n, l)),
-    "apostol-bernoulli": Spec(("lambda",), lambda n, lam: apostol_bernoulli_higher(n, 1, lam)),
-    "apostol-bernoulli-higher": Spec(("l", "lambda"), lambda n, l, lam: apostol_bernoulli_higher(n, l, lam)),
-    "bernoulli-second-kind": Spec((), lambda n: bernoulli_second_kind(n)),
-    "stirling2": Spec((), lambda n: _SECOND.row(n)),
-    "stirling1-unsigned": Spec((), lambda n: _FIRST.row(n)),
+    "exponential-poly": Spec(lambda n: exponential_poly(n)),
+    "bell": Spec(lambda n: bell(n)),
+    "complementary-bell": Spec(lambda n: complementary_bell(n)),
+    "geometric-poly": Spec(lambda n: geometric_poly(n)),
+    "fubini": Spec(lambda n: fubini(n)),
+    "general-geometric": Spec(lambda n, alpha: general_geometric(n, alpha)),
+    "euler-classical": Spec(lambda n: euler_classical(n)),
+    "euler-higher": Spec(lambda n, alpha: euler_higher(n, alpha)),
+    "apostol-euler": Spec(lambda n, lam: apostol_euler_higher(n, 1, lam)),
+    "apostol-euler-higher": Spec(lambda n, alpha, lam: apostol_euler_higher(n, alpha, lam)),
+    "bernoulli-classical": Spec(lambda n: bernoulli_classical(n)),
+    "bernoulli-higher": Spec(lambda n, l: bernoulli_higher(n, l)),
+    "apostol-bernoulli": Spec(lambda n, lam: apostol_bernoulli_higher(n, 1, lam)),
+    "apostol-bernoulli-higher": Spec(lambda n, l, lam: apostol_bernoulli_higher(n, l, lam)),
+    "bernoulli-second-kind": Spec(lambda n: bernoulli_second_kind(n)),
+    "stirling2": Spec(lambda n: _SECOND.row(n)),
+    "stirling1-unsigned": Spec(lambda n: _FIRST.row(n)),
 }
 
 
@@ -448,13 +458,13 @@ def _apostol_euler_series(alpha: Rat, lam: Rat, order: int):
 
 
 SERIES: dict[str, Spec] = {
-    "exp-bell": Spec(("x",), lambda x, order: (gf_exp_bell(x, order), None)),
-    "geometric": Spec(("x",), lambda x, order: (gf_geometric(x, order), None)),
-    "general-geometric": Spec(("x", "alpha"), lambda x, alpha, order: (gf_general_geometric(x, alpha, order), None)),
-    "apostol-euler": Spec(("alpha", "lambda"), _apostol_euler_series),
-    "apostol-bernoulli": Spec(("l", "lambda"), lambda l, lam, order: (gf_apostol_bernoulli(l, lam, order), None)),
-    "bernoulli-higher": Spec(("l",), lambda l, order: (gf_bernoulli_higher(l, order), None)),
-    "bernoulli-second-kind": Spec((), lambda order: (gf_bernoulli_second_kind(order), None)),
+    "exp-bell": Spec(lambda x, order: (gf_exp_bell(x, order), None)),
+    "geometric": Spec(lambda x, order: (gf_geometric(x, order), None)),
+    "general-geometric": Spec(lambda x, alpha, order: (gf_general_geometric(x, alpha, order), None)),
+    "apostol-euler": Spec(_apostol_euler_series),
+    "apostol-bernoulli": Spec(lambda l, lam, order: (gf_apostol_bernoulli(l, lam, order), None)),
+    "bernoulli-higher": Spec(lambda l, order: (gf_bernoulli_higher(l, order), None)),
+    "bernoulli-second-kind": Spec(lambda order: (gf_bernoulli_second_kind(order), None)),
 }
 
 

@@ -6,8 +6,8 @@ equal.  The grid hands checks exact values: ints for the indices, Fractions
 for alpha, lambda and x.  Points whose parameters fall outside an identity's
 domain are reported ``skipped-domain`` with the reason, never silently passed.
 
-Every identity declares its halves, ``((fn, keys), ...)``: each fn is a plain
-function of the point's values of two or more keys ("order" is the grid's),
+Every identity declares its halves, ``(fn, ...)``: each fn is a plain function
+of two or more keys, its parameters (lam is "lambda"; "order" is the grid's),
 and the check joins, in order, the pairs the halves give, in a fresh list that
 carries the verdict and the rendered ``label=value`` segments in .rendered.  A
 half that raises SkipDomain stops the halves after it, so a domain guard goes
@@ -63,10 +63,7 @@ from .series import Series, linear_combination
 from .stirling import stirling1_unsigned, stirling2
 
 F = Fraction
-
-
 Pair = tuple[str, object, object]
-Half = tuple[Callable[..., Sequence[Pair]], tuple[str, ...]]  # (fn, the keys whose values it takes)
 
 
 class SkipDomain(Exception):
@@ -191,7 +188,7 @@ class Identity:
     id: str
     description: str
     slots: tuple[str, ...]  # keys of SLOTS
-    halves: tuple[Half, ...]
+    halves: tuple[Callable[..., Sequence[Pair]], ...]
     check: Callable[[dict, GridConfig], list[Pair]] = None  # derived from halves unless given
 
     def __post_init__(self):
@@ -227,10 +224,10 @@ def _render_half(half: Callable[..., Sequence[Pair]], values: tuple) -> tuple:
 _rendered_half = lru_cache(maxsize=None)(_render_half)
 
 
-def _halves(halves: tuple[Half, ...]) -> Callable[[dict, GridConfig], _Checked]:
-    """The check of an identity declared by its (half, keys) pairs, as the module docstring describes."""
+def _halves(halves: tuple[Callable[..., Sequence[Pair]], ...]) -> Callable[[dict, GridConfig], _Checked]:
+    """The check of an identity declared by its halves, as the module docstring describes."""
     render = _rendered_half if len(halves) > 1 else _render_half
-    getters = [(half, itemgetter(*keys)) for half, keys in halves]
+    getters = [(half, itemgetter(*fam._parameter_keys(half))) for half in halves]
 
     def check(pt: dict, grid: GridConfig) -> _Checked:
         values = {**pt, "order": grid.order}
@@ -702,64 +699,55 @@ def _chk_aux_euler_reflection(n, alpha, lam, x) -> list[Pair]:
 # ---------------------------------------------------------------------------
 
 for _identity in [
-    Identity("spivey", "index-shift convolution for Bell polynomials, symbolic in x",
-             ("nm",), ((_chk_spivey, ("n", "m")),)),
+    Identity("spivey", "index-shift convolution for Bell polynomials, symbolic in x", ("nm",), (_chk_spivey,)),
     Identity("gf-phi-shift", "shifted Bell-polynomial series equals the composed exponential series",
-             ("gm", "x"), ((_chk_gf_phi_shift, ("m", "x", "order")),)),
-    Identity("gf-phi-base", "Bell-polynomial series in exponential form",
-             ("x",), ((partial(_chk_gf_phi_shift, 0), ("x", "order")),)),
+             ("gm", "x"), (_chk_gf_phi_shift,)),
+    Identity("gf-phi-base", "Bell-polynomial series in exponential form", ("x",), (partial(_chk_gf_phi_shift, 0),)),
     Identity("gf-w-shift", "shifted general geometric series equals the substituted binomial-power series",
-             ("gm", "alpha", "x"), ((_chk_gf_w_shift, ("m", "alpha", "x", "order")),)),
+             ("gm", "alpha", "x"), (_chk_gf_w_shift,)),
     Identity("gf-w-base", "general geometric series as a binomial power",
-             ("alpha", "x"), ((partial(_chk_gf_w_shift, 0), ("alpha", "x", "order")),)),
+             ("alpha", "x"), (partial(_chk_gf_w_shift, 0),)),
     Identity("gf-apostol-euler-shift", "shifted Euler-type number series via geometric polynomial substitution",
-             ("gm", "alpha", "lambda"), ((_chk_gf_apostol_euler_shift, ("m", "alpha", "lambda", "order")),)),
+             ("gm", "alpha", "lambda"), (_chk_gf_apostol_euler_shift,)),
     Identity("gf-apostol-bernoulli-shift",
              "shifted Bernoulli-type number series via geometric polynomial substitution",
-             ("gm", "l", "lambda"), ((_chk_gf_apostol_bernoulli_shift, ("m", "l", "lambda", "order")),)),
+             ("gm", "l", "lambda"), (_chk_gf_apostol_bernoulli_shift,)),
     Identity("w-general-recurrence", "order-raising recurrence for general geometric polynomials, symbolic in x",
-             ("nm", "alpha"), ((_chk_w_general_recurrence, ("n", "m", "alpha")),)),
-    Identity("w-explicit", "closed triple sum for geometric polynomials, symbolic in x",
-             ("nm",), ((_chk_w_explicit, ("n", "m")),)),
-    Identity("fubini-explicit", "closed triple sum for ordered Bell numbers",
-             ("nm",), ((_chk_fubini_explicit, ("n", "m")),)),
+             ("nm", "alpha"), (_chk_w_general_recurrence,)),
+    Identity("w-explicit", "closed triple sum for geometric polynomials, symbolic in x", ("nm",), (_chk_w_explicit,)),
+    Identity("fubini-explicit", "closed triple sum for ordered Bell numbers", ("nm",), (_chk_fubini_explicit,)),
     Identity("apostol-euler-recurrence", "order-raising recurrence for Euler-type numbers",
-             ("nm", "alpha", "lambda"), ((_chk_apostol_euler_recurrence, ("n", "m", "alpha", "lambda")),)),
+             ("nm", "alpha", "lambda"), (_chk_apostol_euler_recurrence,)),
     Identity("apostol-euler-explicit", "closed Stirling sum for Euler-type numbers against the series route",
-             ("m", "alpha", "lambda"), ((_chk_apostol_euler_explicit, ("m", "alpha", "lambda", "order")),)),
+             ("m", "alpha", "lambda"), (_chk_apostol_euler_explicit,)),
     Identity("apostol-bernoulli-recurrence", "order-raising recurrence for Bernoulli-type numbers",
-             ("nm", "l", "lambda"), ((_chk_apostol_bernoulli_recurrence, ("n", "m", "l", "lambda")),)),
+             ("nm", "l", "lambda"), (_chk_apostol_bernoulli_recurrence,)),
     Identity("bernoulli-higher-recurrence",
              "diagonal recurrences for higher-order Bernoulli numbers and their inverse transform",
-             ("m", "l"), ((_chk_bernoulli_higher_recurrence, ("m", "l")),)),
+             ("m", "l"), (_chk_bernoulli_higher_recurrence,)),
     Identity("apostol-bernoulli-diag-recurrence", "diagonal-order recurrence for Bernoulli-type numbers",
-             ("m", "l", "lambda"), ((_chk_apostol_bernoulli_diag_recurrence, ("m", "l", "lambda")),)),
+             ("m", "l", "lambda"), (_chk_apostol_bernoulli_diag_recurrence,)),
     Identity("apostol-bernoulli-explicit", "closed Stirling sum for Bernoulli-type numbers against the series route",
-             ("n", "l", "lambda"), ((_chk_apostol_bernoulli_explicit, ("n", "l", "lambda", "order")),)),
+             ("n", "l", "lambda"), (_chk_apostol_bernoulli_explicit,)),
     Identity("apostol-bernoulli-classical", "first-order Bernoulli-type numbers through geometric polynomial values",
-             ("n", "lambda"), ((_chk_apostol_bernoulli_classical, ("n", "lambda")),)),
+             ("n", "lambda"), (_chk_apostol_bernoulli_classical,)),
     Identity("w-connections",
              "geometric polynomial values at distinguished points give the Euler/Bernoulli-type families",
-             ("n", "alpha", "l", "lambda"),
-             ((_connection_euler, ("n", "alpha", "lambda")), (_connection_bernoulli, ("n", "l", "lambda")),
-              (_connection_classical, ("n", "alpha", "l")))),
+             ("n", "alpha", "l", "lambda"), (_connection_euler, _connection_bernoulli, _connection_classical)),
     Identity("poly-shift-prop", "shift of the second index into polynomial arguments, number form",
-             ("nm", "l", "alpha", "lambda"),
-             ((_prop_euler, ("n", "m", "alpha", "lambda")), (_prop_bernoulli, ("n", "m", "l", "lambda")))),
+             ("nm", "l", "alpha", "lambda"), (_prop_euler, _prop_bernoulli)),
     Identity("poly-shift-theorem", "inverse-transform shift into polynomial arguments, with reflections",
-             ("nm", "l", "alpha", "lambda"),
-             ((_theorem_euler, ("n", "m", "alpha", "lambda")), (_theorem_bernoulli, ("n", "m", "l", "lambda")))),
+             ("nm", "l", "alpha", "lambda"), (_theorem_euler, _theorem_bernoulli)),
     Identity("finite-sums", "closed forms for alternating first-kind Stirling sums over both families",
-             ("m", "l", "alpha", "lambda"),
-             ((_finite_sums_euler, ("m", "alpha", "lambda")), (_finite_sums_bernoulli, ("m", "l", "lambda")))),
+             ("m", "l", "alpha", "lambda"), (_finite_sums_euler, _finite_sums_bernoulli)),
     Identity("diag-bernoulli-values", "diagonal higher-order Bernoulli polynomial values and the second-kind link",
-             ("m", "l"), ((_chk_diag_bernoulli_values, ("m", "l")),)),
+             ("m", "l"), (_chk_diag_bernoulli_values,)),
     Identity("aux-wang", "order-raising relation for Euler-type polynomials",
-             ("n", "alpha", "lambda", "x"), ((_chk_aux_wang, ("n", "alpha", "lambda", "x")),)),
+             ("n", "alpha", "lambda", "x"), (_chk_aux_wang,)),
     Identity("aux-srivastava-luo", "order-raising relation for Bernoulli-type polynomials",
-             ("n", "int_alpha", "lambda", "x"), ((_chk_aux_srivastava_luo, ("n", "alpha", "lambda", "x")),)),
+             ("n", "int_alpha", "lambda", "x"), (_chk_aux_srivastava_luo,)),
     Identity("aux-euler-reflection", "reflection of Euler-type polynomials across half the order",
-             ("n", "alpha", "lambda", "x"), ((_chk_aux_euler_reflection, ("n", "alpha", "lambda", "x")),)),
+             ("n", "alpha", "lambda", "x"), (_chk_aux_euler_reflection,)),
 ]:
     _register(_identity)
 

@@ -490,3 +490,17 @@ def test_main_builds_no_parser_after_the_first(capsys, monkeypatch):
                  ("verify", "--config", str(PRESET), "--list"), ("table", "--family", "nope")] * 2:
         run_cli(capsys, *argv)
     assert built == []
+
+
+def test_table_series_and_verify_read_no_parameter_names(capsys, monkeypatch):
+    # every half's and builder's keys are read once, at import, never per point or row
+    calls = []
+    read = fam._parameter_keys
+    monkeypatch.setattr(fam, "_parameter_keys", lambda *args: calls.append(args) or read(*args))
+    for command, key, size, registry in [("table", "--family", "--n=5", fam.FAMILIES),
+                                         ("series", "--gf", "--order=4", fam.SERIES)]:
+        for spec_id, spec in registry.items():
+            flags = [f"--{k}={FLAG_VALUES[k]}" for k in spec.needs]
+            assert run_cli(capsys, command, key, spec_id, size, *flags)[0] == 0, spec_id
+    assert run_cli(capsys, "verify", "--id", "poly-shift-prop", "--nmax", "2", "--mmax", "2")[0] == 0
+    assert calls == []

@@ -1,4 +1,3 @@
-import inspect
 from fractions import Fraction as F
 from math import factorial
 
@@ -383,16 +382,6 @@ def test_every_family_dispatches():
             key = "lam" if need == "lambda" else need
             with pytest.raises(DomainError, match=f"--{need}"):
                 fam.family_value(fid, 3, **{k: v for k, v in params.items() if k != key})
-
-
-def test_every_builder_takes_exactly_its_needs():
-    def names(needs):
-        return ["lam" if need == "lambda" else need for need in needs]
-
-    for fid, spec in fam.FAMILIES.items():
-        assert list(inspect.signature(spec.build).parameters) == ["n", *names(spec.needs)], fid
-    for gid, spec in fam.SERIES.items():
-        assert list(inspect.signature(spec.build).parameters) == [*names(spec.needs), "order"], gid
 
 
 def test_memoization_returns_identical_objects():

@@ -1,4 +1,3 @@
-import inspect
 import json
 from dataclasses import replace
 from fractions import Fraction as F
@@ -46,28 +45,28 @@ def test_registry_covers_the_catalog():
 
 
 def test_slots_are_grid_axes():
+    # --lambda-certify bounds exactly the identities a half of which reads lambda,
+    # and hands each 2D+2 distinct lambdas clear of the singular points 0, +-1
+    certify = replace(GridConfig(), certify=True)
     for identity in REGISTRY.values():
         assert set(identity.slots) <= set(SLOTS), identity.id
-        assert ("lambda" in identity.slots) == (identity.lambda_degree_bound is not None), identity.id
+        grid, bound = identity_grid_for(identity, certify)
+        reads_lambda = any("lambda" in fam._parameter_keys(half) for half in identity.halves)
+        assert (bound is not None) == reads_lambda, identity.id
+        if bound is not None:
+            assert len(set(grid.lambdas)) == len(grid.lambdas) == 2 * bound + 2, identity.id
+            assert not set(grid.lambdas) & {0, 1, -1}, identity.id
 
 
 def test_halves_name_the_keys_of_their_slots():
     for identity in REGISTRY.values():
         keys = {k for slot in identity.slots for k in SLOTS[slot](GridConfig())[0]}
-        for _, half_keys in identity.halves:
-            assert len(half_keys) >= 2, identity.id  # itemgetter of one key gives a bare value
-            assert set(half_keys) <= keys | {"order"}, identity.id
+        half_keys = [fam._parameter_keys(half) for half in identity.halves]
+        for read in half_keys:
+            assert len(read) >= 2, identity.id  # itemgetter of one key gives a bare value
+            assert set(read) <= keys | {"order"}, identity.id
         # an axis that no half reads would repeat identical checks
-        assert keys <= {k for _, half_keys in identity.halves for k in half_keys}, identity.id
-
-
-def test_halves_take_their_keys_as_parameters():
-    # a half is called with its keys' values positionally, so its parameters
-    # must be those keys in that order; the parameter lam reads the key lambda
-    for identity in REGISTRY.values():
-        for fn, keys in identity.halves:
-            params = tuple("lambda" if p == "lam" else p for p in inspect.signature(fn).parameters)
-            assert params == keys, identity.id
+        assert keys <= {k for read in half_keys for k in read}, identity.id
 
 
 def test_only_identities_of_two_or_more_halves_fill_the_half_memo():

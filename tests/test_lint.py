@@ -5,12 +5,20 @@ No linter is installed, so this reads each module with the standard library's
 ast: a deletion that leaves an import or a private helper behind fails here.
 __init__.py is exempt from the import check, since its imports are the
 package's public API, and so is ``from __future__``.
+
+Every parameter of an identity half and of a ``table``/``series`` builder is
+read by its code, since the parameters alone say which keys and flags it takes.
 """
 
 import ast
+import dis
+from functools import partial
 from pathlib import Path
 
 import pytest
+
+from polyfam import families as fam
+from polyfam.identities import REGISTRY
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "polyfam"
 MODULES = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
@@ -50,3 +58,28 @@ def test_every_private_definition_is_referenced():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
         and not node.name.startswith("__") and node.name not in referenced)
     assert not unreferenced, f"private definitions never referenced in src/polyfam: {unreferenced}"
+
+
+def _unread_parameters(fn) -> list[str]:
+    """The parameters fn's code never loads; a partial's bound arguments are
+    left out, and a parameter held in a cell (read by an inner function) counts
+    as read."""
+    bound = 0
+    if isinstance(fn, partial):
+        fn, bound = fn.func, len(fn.args)
+    code = fn.__code__
+    read = set(code.co_cellvars)
+    for ins in dis.get_instructions(code):
+        if ins.opname.startswith("LOAD_FAST") or ins.opname == "LOAD_DEREF":
+            read.update(ins.argval if isinstance(ins.argval, tuple) else (ins.argval,))
+    return [p for p in code.co_varnames[bound:code.co_argcount] if p not in read]
+
+
+def test_every_declared_parameter_is_read():
+    # an unread parameter would be a grid axis repeating identical checks, or a flag changing nothing
+    functions = {f"{identity.id}:{getattr(half, 'func', half).__name__}": half
+                 for identity in REGISTRY.values() for half in identity.halves}
+    functions |= {f"family:{key}": spec.build for key, spec in fam.FAMILIES.items()}
+    functions |= {f"series:{key}": spec.build for key, spec in fam.SERIES.items()}
+    unread = {name: params for name, fn in functions.items() if (params := _unread_parameters(fn))}
+    assert not unread, f"parameters never read: {unread}"
