@@ -25,9 +25,9 @@ x = -lam/(lam+1).  One cached integer per value, keyed by those ints (the
 ``_*_num`` bodies), is made a Fraction on return; the checkers read the
 integers for their own integer sums.
 
-Every Apostol-type series reads the cached geometric series G(x) =
-1/(1 - x(e^t - 1)) (``gf_geometric``), which is (lam+-1)/(lam e^t +- 1) at
-x = -lam/(lam+-1); the Euler mantissa series is the general one at that x.
+Every Apostol-type series is one cached general geometric series
+(1 - x(e^t - 1))^(-alpha) (``gf_general_geometric``) at x = -lam/(lam+-1),
+scaled, and shifted on the Bernoulli side, with no series product.
 """
 
 from __future__ import annotations
@@ -328,15 +328,14 @@ def euler_higher(n: int, alpha: Rat) -> Rat:
 
 @lru_cache(maxsize=None)
 def gf_exp_bell(x: Rat, order: int) -> Series:
-    """e^{x(e^t - 1)}."""
-    u = (Series.exp_t(1, order) - 1) * Fraction(x)
-    return u.exp()
+    """e^{x(e^t - 1)}, from the coefficients 0, x/k! of x(e^t - 1)."""
+    return Series([Fraction(x, factorial(k)) if k else 0 for k in range(order + 1)], order).exp()
 
 
 @lru_cache(maxsize=None)
 def gf_general_geometric(x: Rat, alpha: Rat, order: int) -> Series:
-    """(1 - x(e^t - 1))^{-alpha}, exact for any rational alpha."""
-    base = Series.one(order) - (Series.exp_t(1, order) - 1) * Fraction(x)
+    """(1 - x(e^t - 1))^{-alpha} for any rational alpha, from the base's coefficients 1, -x/k!."""
+    base = Series([Fraction(-x, factorial(k)) if k else 1 for k in range(order + 1)], order)
     return binomial_power(base, -Fraction(alpha))
 
 
@@ -354,20 +353,23 @@ def gf_bernoulli_higher(l: int, order: int) -> Series:
 
 @lru_cache(maxsize=None)
 def gf_apostol_bernoulli(l: int, lam: Rat, order: int) -> Series:
-    """(t/(lam e^t - 1))^l for lam != 1: (t G(x)/(lam-1))^l at x = -lam/(lam-1)."""
+    """(t/(lam e^t - 1))^l for lam != 1: (1 - x(e^t - 1))^(-l) at x = -lam/(lam-1),
+    over (lam-1)^l and shifted by l (to only zeros for l > order)."""
     _check_apostol_bernoulli_domain(l, *_ratio(lam))
     lam = Fraction(lam)
-    return (Series.t(order) * gf_geometric(-lam / (lam - 1), order) * (1 / (lam - 1))) ** l
+    scale = 1 / (lam - 1) ** l
+    return Series([0] * l + [c * scale for c in gf_general_geometric(-lam / (lam - 1), l, order).coeffs], order)
 
 
 @lru_cache(maxsize=None)
 def gf_apostol_euler(alpha: int, lam: Rat, order: int) -> Series:
-    """(2/(lam e^t + 1))^alpha = (2/(lam+1) G(x))^alpha at x = -lam/(lam+1), for any integer alpha."""
+    """(2/(lam e^t + 1))^alpha for any integer alpha: (2/(lam+1))^alpha times
+    (1 - x(e^t - 1))^(-alpha) at x = -lam/(lam+1)."""
     _check_euler_pole(*_ratio(lam))
     if not isinstance(alpha, int):
         raise DomainError("plain series route needs an integer alpha")
     lam = Fraction(lam)
-    return (gf_geometric(-lam / (lam + 1), order) * (2 / (lam + 1))) ** alpha
+    return gf_general_geometric(-lam / (lam + 1), alpha, order) * (2 / (lam + 1)) ** alpha
 
 
 def gf_apostol_euler_mantissa(alpha: Rat, lam: Rat, order: int) -> Series:

@@ -233,7 +233,8 @@ def _halves(halves: tuple[Callable[..., Sequence[Pair]], ...]) -> Callable[[dict
         values = {**pt, "order": grid.order}
         parts, oks, lhs, rhs = zip(*[p for half, get in getters if (p := render(half, get(values)))[0]])
         pairs = _Checked(chain.from_iterable(parts))
-        pairs.rendered = all(oks), "; ".join(lhs), "; ".join(rhs)
+        ok, lhs_s = all(oks), "; ".join(lhs)
+        pairs.rendered = ok, lhs_s, lhs_s if ok else "; ".join(rhs)
         return pairs
     return check
 
@@ -769,11 +770,13 @@ def _perturb_value(v, rng: random.Random):
 
 
 def _render(pairs) -> tuple[bool, str, str]:
-    """The verdict (every pair equal) and the rendered lhs and rhs of a pair list."""
+    """The verdict (every pair equal) and the rendered lhs and rhs of a pair list; equal
+    values print equal strings, so a passing list's rhs is its lhs string."""
     if len(pairs) == 1 and pairs[0][0] == "":
-        return pairs[0][1] == pairs[0][2], str(pairs[0][1]), str(pairs[0][2])
-    return (all(lhs == rhs for _, lhs, rhs in pairs),
-            "; ".join(f"{lb}={lv}" for lb, lv, _ in pairs), "; ".join(f"{lb}={rv}" for lb, _, rv in pairs))
+        ok, lhs = pairs[0][1] == pairs[0][2], str(pairs[0][1])
+        return ok, lhs, lhs if ok else str(pairs[0][2])
+    ok, lhs = all(lv == rv for _, lv, rv in pairs), "; ".join(f"{lb}={lv}" for lb, lv, _ in pairs)
+    return ok, lhs, lhs if ok else "; ".join(f"{lb}={rv}" for lb, _, rv in pairs)
 
 
 def _evaluate_point(identity: Identity, pt: dict, params: dict[str, str], grid: GridConfig,

@@ -333,6 +333,25 @@ def gf_apostol_euler_by_inverse(alpha: int, lam: Fraction, order: int) -> Series
     return ((Series.exp_t(1, order) * lam + 1).inverse() * 2) ** alpha
 
 
+# -- the power-by-squaring builders that one general geometric series replaced --
+# Each raises a product with G(x) = 1/(1 - x(e^t - 1)), its base built from e^t,
+# to an integer power by repeated squaring.
+
+def _geometric_from_exp_t(x: Fraction, order: int) -> Series:
+    """1/(1 - x(e^t - 1))."""
+    return binomial_power(Series.one(order) - (Series.exp_t(1, order) - 1) * x, -1)
+
+
+def gf_apostol_bernoulli_by_squaring(l: int, lam: Fraction, order: int) -> Series:
+    """(t G(x)/(lam-1))^l at x = -lam/(lam-1)."""
+    return (Series.t(order) * _geometric_from_exp_t(-lam / (lam - 1), order) * (1 / (lam - 1))) ** l
+
+
+def gf_apostol_euler_by_squaring(alpha: int, lam: Fraction, order: int) -> Series:
+    """(2/(lam+1) G(x))^alpha at x = -lam/(lam+1)."""
+    return (_geometric_from_exp_t(-lam / (lam + 1), order) * (2 / (lam + 1))) ** alpha
+
+
 # -- the Fraction checker bodies that the identity checkers replaced ----------
 # Each takes a grid point and returns its (label, lhs, rhs) pairs term by term,
 # reading the same family values as the package's checkers; what they check is

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from polyfam import families as fam
+from polyfam.cli import main
 from polyfam.poly import Poly
 from polyfam.rationals import DomainError
 from polyfam.series import Series
@@ -20,7 +21,9 @@ from .oracles import (
     exponential_poly_recurrence,
     fubini_by_enumeration,
     gf_apostol_bernoulli_by_inverse,
+    gf_apostol_bernoulli_by_squaring,
     gf_apostol_euler_by_inverse,
+    gf_apostol_euler_by_squaring,
     gregory_by_integration,
     stirling2_row_by_enumeration,
 )
@@ -194,22 +197,65 @@ def _clear_family_caches():
 BUILDER_LAMBDAS = [F(2), F(1, 3), F(-3), F(5), F(0), 2, -3, 5, 0]
 
 
-@pytest.mark.parametrize("lam", BUILDER_LAMBDAS, ids=repr)
-@pytest.mark.parametrize("order", [0, 1, 12, 30])
-def test_apostol_series_builders_match_their_inverse_route(lam, order):
+def _assert_apostol_builders_match(lam, order, bernoulli, euler):
+    """gf_apostol_bernoulli at l in 1..4 and gf_apostol_euler at alpha in -2..4
+    equal the given routes, with Fraction coefficients."""
     # cold caches, so that an int lam is not served a value cached under its Fraction
     _clear_family_caches()
     try:
         for l in range(1, 5):
             got = fam.gf_apostol_bernoulli(l, lam, order)
-            assert got == gf_apostol_bernoulli_by_inverse(l, F(lam), order), l
+            assert got == bernoulli(l, F(lam), order), l
             assert all(type(c) is F for c in got.coeffs)
         for alpha in range(-2, 5):
             got = fam.gf_apostol_euler(alpha, lam, order)
-            assert got == gf_apostol_euler_by_inverse(alpha, F(lam), order), alpha
+            assert got == euler(alpha, F(lam), order), alpha
             assert all(type(c) is F for c in got.coeffs)
     finally:
         _clear_family_caches()
+
+
+@pytest.mark.parametrize("lam", BUILDER_LAMBDAS, ids=repr)
+@pytest.mark.parametrize("order", [0, 1, 12, 30])
+def test_apostol_series_builders_match_their_inverse_route(lam, order):
+    _assert_apostol_builders_match(lam, order, gf_apostol_bernoulli_by_inverse, gf_apostol_euler_by_inverse)
+
+
+@pytest.mark.parametrize("lam", BUILDER_LAMBDAS, ids=repr)
+@pytest.mark.parametrize("order", [0, 1, 12, 64])
+def test_apostol_series_builders_match_their_squaring_route(lam, order):
+    # orders 0 and 1 take l > order, where the shift by t^l leaves only zeros
+    _assert_apostol_builders_match(lam, order, gf_apostol_bernoulli_by_squaring, gf_apostol_euler_by_squaring)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--gf", "apostol-bernoulli", "--l", "3", "--lambda", "2"],
+    ["--gf", "apostol-euler", "--alpha", "3", "--lambda", "1/3"],
+    ["--gf", "apostol-euler", "--alpha", "-2", "--lambda", "-3"],
+], ids=lambda argv: " ".join(argv[1::2]))
+def test_apostol_series_take_one_binomial_power_and_no_product(monkeypatch, capsys, argv):
+    # one general geometric series, scaled (and shifted by t^l); the
+    # power-by-squaring route multiplied two series at least once
+    counts = {"products": 0, "binomial_power": 0}
+    multiply, power = Series.__mul__, fam.binomial_power
+
+    def counted_mul(self, other):
+        counts["products"] += isinstance(other, Series)
+        return multiply(self, other)
+
+    def counted_power(*args):
+        counts["binomial_power"] += 1
+        return power(*args)
+
+    monkeypatch.setattr(Series, "__mul__", counted_mul)
+    monkeypatch.setattr(fam, "binomial_power", counted_power)
+    _clear_family_caches()
+    try:
+        assert main(["series", *argv, "--order", "24"]) == 0
+    finally:
+        _clear_family_caches()
+    assert counts == {"products": 0, "binomial_power": 1}
+    assert capsys.readouterr().out
 
 
 def test_apostol_bernoulli_rejects_lambda_one():

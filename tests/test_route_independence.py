@@ -105,8 +105,7 @@ CAUGHT_BY = {
         "gf-w-shift", "w-connections",
     },
     "Series.__mul__ product coefficient 2 + 1": {
-        "apostol-bernoulli-explicit", "apostol-bernoulli-recurrence", "apostol-euler-explicit",
-        "aux-srivastava-luo", "bernoulli-higher-recurrence", "diag-bernoulli-values",
+        "apostol-bernoulli-recurrence", "aux-srivastava-luo", "bernoulli-higher-recurrence", "diag-bernoulli-values",
         "gf-apostol-bernoulli-shift", "gf-apostol-euler-shift", "gf-phi-base", "gf-phi-shift", "gf-w-base",
         "gf-w-shift", "poly-shift-prop", "poly-shift-theorem",
     },
