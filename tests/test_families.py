@@ -6,10 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from polyfam import families as fam
+from polyfam import series
 from polyfam.cli import main
 from polyfam.poly import Poly
 from polyfam.rationals import DomainError
-from polyfam.series import Series
+from polyfam.series import Series, binomial_power, expm1_over_t
 from polyfam.stirling import stirling1_unsigned, stirling2
 
 from .oracles import (
@@ -256,6 +257,47 @@ def test_apostol_series_take_one_binomial_power_and_no_product(monkeypatch, caps
         _clear_family_caches()
     assert counts == {"products": 0, "binomial_power": 1}
     assert capsys.readouterr().out
+
+
+def _kernel_paths(monkeypatch, run):
+    """(Horner-loop runs, difference-table runs) of the EGF-number kernel during run(), on cold caches."""
+    counts = {"kernel": 0, "table": 0}
+    kernel, table = series._egf_recurrence, series._difference_table
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(series, "_egf_recurrence", counted("kernel", kernel))
+    monkeypatch.setattr(series, "_difference_table", counted("table", table))
+    _clear_family_caches()
+    try:
+        run()
+    finally:
+        _clear_family_caches()
+    return counts["kernel"] - counts["table"], counts["table"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--gf", "general-geometric", "--x", "2/3", "--alpha", "5/2"],
+    ["--gf", "general-geometric", "--x", "-1", "--alpha", "-3"],
+    ["--gf", "exp-bell", "--x", "-1/2"],
+], ids=lambda argv: " ".join(argv[1::2]))
+def test_exp_type_bases_take_only_the_difference_table(monkeypatch, capsys, argv):
+    # every EGF number of 1 - x(e^t - 1) and x(e^t - 1) past k = 0 is -x or x
+    assert _kernel_paths(monkeypatch, lambda: main(["series", *argv, "--order", "64"])) == (0, 1)
+    assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("base", [
+    expm1_over_t(64),
+    Series([1] + [F(1, factorial(k)) + (k == 5) for k in range(1, 65)], 64),  # 1 + (e^t - 1) but at k = 5
+], ids=["expm1_over_t", "one-number-off"])
+def test_other_bases_take_only_the_horner_loop(monkeypatch, base):
+    assert _kernel_paths(monkeypatch, lambda: binomial_power(base, -3)) == (1, 0)
+    assert _kernel_paths(monkeypatch, lambda: (base - 1).exp()) == (1, 0)
 
 
 def test_apostol_bernoulli_rejects_lambda_one():

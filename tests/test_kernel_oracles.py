@@ -4,7 +4,8 @@ recurrence and the per-step recurrences in ordinary coefficients, in
 oracles.py)."""
 
 from fractions import Fraction as F
-from math import comb
+from itertools import product
+from math import comb, factorial
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -120,24 +121,26 @@ def test_inverse_matches_recurrence_on_sparse_series(c0, runs, order):
 
 
 # The bases the families hand the two EGF-number kernels, at the depth the
-# `series` op reaches: 1 - x(e^t - 1) and x(e^t - 1) at every grid x and at
-# x = -lam/(lam +- 1) for every default lam, with the grid's orders as exponents.
+# `series` op reaches and at orders 2 and 3: 1 - x(e^t - 1) and x(e^t - 1) at
+# every grid x, at x = -lam/(lam +- 1) for every default lam, and at x = 0 and
+# x = -1 (the bases 1 and e^t), with the grid's orders as exponents.
 _GRID = GridConfig()
-_XS = sorted(set(_GRID.xs) | {-lam / (lam + s) for lam in _GRID.lambdas for s in (1, -1) if lam + s})
+_XS = sorted(set(_GRID.xs) | {-lam / (lam + s) for lam in _GRID.lambdas for s in (1, -1) if lam + s} | {F(0), F(-1)})
+_ORDERS = (2, 3, 64)
 _EXPONENTS = sorted({sign * r for r in _GRID.alphas() + tuple(map(F, _GRID.ls)) for sign in (1, -1)})
 
 
 def test_binomial_power_matches_steps_on_the_geometric_bases():
-    for x in _XS:
-        base = Series.one(64) - (Series.exp_t(1, 64) - 1) * x
+    for x, order in product(_XS, _ORDERS):
+        base = Series.one(order) - (Series.exp_t(1, order) - 1) * x
         for r in _EXPONENTS:
-            assert list(binomial_power(base, r).coeffs) == binomial_power_by_steps(base, r), (x, r)
+            assert list(binomial_power(base, r).coeffs) == binomial_power_by_steps(base, r), (x, order, r)
 
 
 def test_exp_matches_steps_on_the_bell_bases():
-    for x in _XS:
-        u = (Series.exp_t(1, 64) - 1) * x
-        assert list(u.exp().coeffs) == exp_by_steps(u), x
+    for x, order in product(_XS, _ORDERS):
+        u = (Series.exp_t(1, order) - 1) * x
+        assert list(u.exp().coeffs) == exp_by_steps(u), (x, order)
 
 
 def test_kernels_match_steps_at_orders_0_and_1():
@@ -155,3 +158,13 @@ def test_kernels_match_steps_on_expm1_over_t():
         assert list(binomial_power(base, r).coeffs) == binomial_power_by_steps(base, r), r
     u = base - 1
     assert list(u.exp().coeffs) == exp_by_steps(u)
+
+
+def test_kernels_match_steps_one_number_off_the_geometric_bases():
+    # EGF numbers -x for every k >= 1 but k = 5: the Horner loop, not the difference table
+    for x in (F(1), F(-2, 3)):
+        base = Series([1] + [F(-x, factorial(k)) + (k == 5) for k in range(1, 25)], 24)
+        for r in (F(-3), F(5, 2), F(-1, 2)):
+            assert list(binomial_power(base, r).coeffs) == binomial_power_by_steps(base, r), (x, r)
+        u = Series([0] + list(base.coeffs[1:]), 24)
+        assert list(u.exp().coeffs) == exp_by_steps(u), x

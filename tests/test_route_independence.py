@@ -14,7 +14,7 @@ from fractions import Fraction as F
 import pytest
 
 from polyfam import families as fam
-from polyfam import identities, stirling
+from polyfam import identities, series, stirling
 from polyfam.identities import GridConfig, run_all
 from polyfam.poly import Poly
 from polyfam.series import Series
@@ -81,6 +81,8 @@ MUTATIONS = {
     "_geometric_num {3,2}+1": (fam, "_geometric_num", _geometric_num),
     "_appell_num C(3,1)+1": (fam, "_appell_num", _appell_num),
     "binomial_power coefficient 3 + 1/7": (fam, "binomial_power", lambda f: _bumped(f, 3, F(1, 7))),
+    "_difference_table coefficient 3 + 1/7":
+        (series, "_difference_table", lambda f: lambda *args: _bump(f(*args), 3, F(1, 7))),
     "Series.inverse coefficient 2 + 1": (Series, "inverse", lambda f: _bumped(f, 2, 1)),
     "euler_prefactor_base x2": (fam, "euler_prefactor_base", lambda f: lambda lam: 2 * f(lam)),
     "gen_binomial(., 2) + 1 in identities":
@@ -139,6 +141,10 @@ CAUGHT_BY = {
         "apostol-bernoulli-recurrence", "apostol-euler-explicit", "apostol-euler-recurrence",
         "aux-euler-reflection", "aux-srivastava-luo", "aux-wang", "finite-sums", "gf-apostol-bernoulli-shift",
         "gf-apostol-euler-shift", "poly-shift-prop", "poly-shift-theorem", "w-connections",
+    },
+    "_difference_table coefficient 3 + 1/7": {
+        "apostol-bernoulli-explicit", "apostol-euler-explicit", "gf-apostol-bernoulli-shift",
+        "gf-apostol-euler-shift", "gf-phi-base", "gf-phi-shift", "gf-w-base", "gf-w-shift",
     },
     "_sum_over_lcm drops its last term": {
         "apostol-bernoulli-diag-recurrence", "apostol-bernoulli-recurrence", "bernoulli-higher-recurrence",

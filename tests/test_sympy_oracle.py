@@ -65,3 +65,31 @@ def test_apostol_bernoulli_from_sympy_series(l, lam):
     want = _egf_values((t / (lam_sym * sympy.exp(t) - 1)) ** l, ORDER)
     assert [fam.gf_apostol_bernoulli(l, lam, ORDER).egf_coeff(n) for n in range(ORDER + 1)] == want
     assert [fam.apostol_bernoulli_higher(n, l, lam) for n in range(ORDER + 1)] == want
+
+
+# (1 - x(e^t - 1))^(-alpha) = sum_k alpha^(k rising) x^k (e^t - 1)^k / k!, whose EGF
+# numbers are sum_k S(n,k) alpha^(k rising) x^k; e^{x(e^t - 1)} is the same sum without
+# the rising factorial.  Summed from sympy's Stirling numbers, not its series expansion.
+SERIES_ORDER = 24
+
+
+@pytest.fixture(scope="module")
+def stirling_rows():
+    return [[sympy_stirling(n, k, kind=2) for k in range(n + 1)] for n in range(SERIES_ORDER + 1)]
+
+
+def _stirling_sums(rows, weight) -> list[F]:
+    weights = [weight(k) for k in range(SERIES_ORDER + 1)]
+    return [_fraction(sum(s * w for s, w in zip(row, weights))) for row in rows]
+
+
+@pytest.mark.parametrize("x", [F(1), F(-1, 2), F(2, 3), F(-2, 3), F(5, 4), F(0)])
+def test_exp_bell_and_general_geometric_series_from_stirling_sums(stirling_rows, x):
+    x_sym = sympy.Rational(x.numerator, x.denominator)
+    got = fam.gf_exp_bell(x, SERIES_ORDER)
+    assert [got.egf_coeff(n) for n in range(SERIES_ORDER + 1)] == _stirling_sums(stirling_rows, lambda k: x_sym**k)
+    for alpha in (F(1), F(5, 2), F(-3), F(1, 2), F(0), F(7, 3)):
+        a_sym = sympy.Rational(alpha.numerator, alpha.denominator)
+        want = _stirling_sums(stirling_rows, lambda k: sympy.rf(a_sym, k) * x_sym**k)
+        got = fam.gf_general_geometric(x, alpha, SERIES_ORDER)
+        assert [got.egf_coeff(n) for n in range(SERIES_ORDER + 1)] == want, alpha
