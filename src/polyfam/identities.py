@@ -38,9 +38,11 @@ side; apostol-bernoulli-diag-recurrence is apostol-bernoulli-recurrence at
 n = 0.  spivey checks Spivey's integer row {n+m, d} (_spivey_row), and
 w-general-recurrence, w-explicit (alpha = 1) and fubini-explicit (its sum, the
 value at x = 1) read it through x^d -> alpha(alpha+1)...(alpha+d-1) x^d, which
-takes phi_{n+m} to w_{n+m,alpha} (_geometric_row).  Every Apostol-type series
-factor, and _w_argument, reads the cached geometric series
-families.gf_geometric, so no series here inverts lam e^t +- 1.
+takes phi_{n+m} to w_{n+m,alpha} (_geometric_row).  A gf-*-shift right side
+is a sum of cached series: for G = 1/(1 - x(e^t - 1)), x e^t G = (1+x)G - 1, so
+G^alpha w_{m,alpha}(x e^t G) is a sum of the cached G^(alpha+j)
+(families.gf_general_geometric), and phi_m(x e^t) one of the e^{kt}.  No
+series here inverts lam e^t +- 1.
 """
 
 from __future__ import annotations
@@ -288,36 +290,6 @@ def _euler_series_lhs(values, order: int) -> Series:
     return Series([values(n) / factorial(n) for n in range(order + 1)], order)
 
 
-# series factors of the gf-*-shift identities, cached by exactly the parameters
-# they read; a polynomial is evaluated at a cached argument series as
-# sum_k c_k arg^k over the argument's cached powers, O(deg * order) a point.
-
-@lru_cache(maxsize=None)
-def _phi_argument(x: Fraction, order: int) -> Series:
-    """x e^t."""
-    return Series.exp_t(1, order) * x
-
-
-@lru_cache(maxsize=None)
-def _w_argument(x: Fraction, order: int) -> Series:
-    """x e^t / (1 - x(e^t - 1))."""
-    return _phi_argument(x, order) * fam.gf_geometric(x, order)
-
-
-@lru_cache(maxsize=None)
-def _argument_power(argument: Callable[..., Series], key: tuple, k: int) -> Series:
-    """argument(*key)**k, one product from power k - 1, which _eval_at has cached before it."""
-    if k == 0:
-        return Series.one(argument(*key).order)
-    return _argument_power(argument, key, k - 1) * argument(*key)
-
-
-def _eval_at(poly: Poly, argument: Callable[..., Series], *key) -> Series:
-    """poly(argument(*key)); the table of powers grows to whatever degree is asked."""
-    powers = [_argument_power(argument, key, k) for k in range(len(poly.coeffs))]
-    return linear_combination(poly.coeffs, powers, argument(*key).order)
-
-
 # degree-bound helpers for lambda certification -------------------------------
 # Both sides of every lambda-bearing identity are rational functions of lambda
 # whose numerator and denominator degrees are bounded by the largest index
@@ -366,14 +338,21 @@ def _chk_spivey(n, m) -> list[Pair]:
 
 def _chk_gf_phi_shift(m, x, order) -> list[Pair]:
     lhs = _euler_series_lhs(lambda n: fam.exponential_poly(n + m)(x), order)
-    rhs = fam.gf_exp_bell(x, order) * _eval_at(fam.exponential_poly(m), _phi_argument, x, order)
-    return [("", lhs, rhs)]
+    # phi_m(x e^t) = sum_k {m,k} x^k e^{kt}
+    coeffs = fam.exponential_poly(m).coeffs
+    composed = linear_combination([c * x**k for k, c in enumerate(coeffs)],
+                                  [Series.exp_t(k, order) for k in range(len(coeffs))], order)
+    return [("", lhs, fam.gf_exp_bell(x, order) * composed)]
 
 
 def _w_shift_series(m: int, alpha: Fraction, x: Fraction, order: int) -> Series:
-    """(1 - x(e^t - 1))^(-alpha) w_{m,alpha}(x e^t / (1 - x(e^t - 1))), the
-    generating series of w_{n+m,alpha}(x) t^n/n!, for alpha > 0."""
-    return fam.gf_general_geometric(x, alpha, order) * _eval_at(fam.general_geometric(m, alpha), _w_argument, x, order)
+    """G^alpha w_{m,alpha}(x e^t G) for G = 1/(1 - x(e^t - 1)), the generating
+    series of w_{n+m,alpha}(x) t^n/n!, for alpha > 0.  As x e^t G = (1+x)G - 1,
+    it is sum_j d_j G^(alpha+j) over the cached general geometric series, d_j =
+    (1+x)^j sum_k C(k,j) (-1)^(k-j) c_k for w_{m,alpha}(y) = sum_k c_k y^k."""
+    c = fam.general_geometric(m, alpha).coeffs
+    d = [(1 + x) ** j * sum(binomial(k, j) * (-1) ** (k - j) * c[k] for k in range(j, len(c))) for j in range(len(c))]
+    return linear_combination(d, [fam.gf_general_geometric(x, alpha + j, order) for j in range(len(c))], order)
 
 
 def _chk_gf_w_shift(m, alpha, x, order) -> list[Pair]:

@@ -698,6 +698,30 @@ def chk_gf_w_base(pt):
     return [("", lhs, binomial_power(Series.one(order) - (Series.exp_t(1, order) - 1) * x, -alpha))]
 
 
+def chk_gf_phi_shift(pt):
+    """At the default order, with x e^t built afresh and phi_m evaluated by
+    Horner at it, times e^{x(e^t - 1)}."""
+    m, x, order = pt["m"], F(pt["x"]), GridConfig().order
+    e = Series.exp_t(1, order)
+    rhs = ((e - 1) * x).exp() * eval_series_horner(fam.exponential_poly(m), e * x)
+    lhs = Series([fam.exponential_poly(n + m)(x) / factorial(n) for n in range(order + 1)], order)
+    return [("", lhs, rhs)]
+
+
+def chk_gf_w_shift(pt):
+    """At the default order, with x e^t G built afresh, G = 1/(1 - x(e^t - 1)),
+    and w_{m,alpha} evaluated by Horner at it, times G^alpha."""
+    m, alpha, x, order = pt["m"], F(pt["alpha"]), F(pt["x"]), GridConfig().order
+    if alpha <= 0:
+        raise SkipDomain("alpha <= 0: general geometric polynomials need alpha > 0")
+    e = Series.exp_t(1, order)
+    argument = e * x * _geometric_from_exp_t(x, order)
+    rhs = binomial_power(Series.one(order) - (e - 1) * x, -alpha) * eval_series_horner(
+        fam.general_geometric(m, alpha), argument)
+    lhs = Series([fam.general_geometric(n + m, alpha)(x) / factorial(n) for n in range(order + 1)], order)
+    return [("", lhs, rhs)]
+
+
 def chk_gf_apostol_euler_shift(pt):
     """At the default order, with 1/(lam e^t + 1) built afresh and the
     polynomial evaluated by Horner at its argument series."""
@@ -719,7 +743,9 @@ OLD_CHECKERS = {
     "w-explicit": chk_w_explicit,
     "fubini-explicit": chk_fubini_explicit,
     "gf-phi-base": chk_gf_phi_base,
+    "gf-phi-shift": chk_gf_phi_shift,
     "gf-w-base": chk_gf_w_base,
+    "gf-w-shift": chk_gf_w_shift,
     "gf-apostol-euler-shift": chk_gf_apostol_euler_shift,
     "gf-apostol-bernoulli-shift": chk_gf_apostol_bernoulli_shift,
     "w-general-recurrence": chk_w_general_recurrence,

@@ -1,6 +1,7 @@
-"""The series layer's integer products and the gf-*-shift power tables against
-naive Fraction references (oracles.py), and the gf-*-shift ids on grids wider
-than the default one."""
+"""The series layer's integer products and the gf-*-shift right sides against
+naive Fraction references (oracles.py), a guard that the geometric shift series
+multiply no two series, and the gf-*-shift ids on grids wider than the default
+one."""
 
 from fractions import Fraction as F
 from pathlib import Path
@@ -8,12 +9,13 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from polyfam import families as fam
+from polyfam import identities
 from polyfam.cli import _apply_config, _grid_from_args, build_parser
-from polyfam.identities import GridConfig, _eval_at, _phi_argument, _w_argument, run_all
-from polyfam.poly import Poly
+from polyfam.identities import GridConfig, _chk_gf_phi_shift, _w_shift_series, run_all
 from polyfam.series import Series, linear_combination
 
-from .oracles import convolve_coeffs, eval_series_horner
+from .oracles import _geometric_from_exp_t, convolve_coeffs, eval_series_horner
 
 # zeros, plain ints and Fractions over assorted denominators, all mixed
 coeff = st.one_of(
@@ -24,7 +26,8 @@ coeff = st.one_of(
 orders = st.integers(min_value=0, max_value=12)
 series = st.builds(Series, st.lists(coeff, max_size=15), orders)
 small = st.fractions(min_value=-9, max_value=9, max_denominator=7)
-polys = st.lists(small, max_size=10).map(Poly)
+alphas = st.fractions(min_value=F(1, 7), max_value=6, max_denominator=7)
+xs = st.one_of(st.sampled_from([F(-1), F(0)]), small)
 
 GF_SHIFT_IDS = ["gf-phi-shift", "gf-w-shift", "gf-apostol-euler-shift", "gf-apostol-bernoulli-shift"]
 
@@ -54,17 +57,44 @@ def test_linear_combination_matches_fraction_sum(pairs, order):
 
 
 @settings(max_examples=40)
-@given(polys, small, st.integers(min_value=0, max_value=9))
-def test_power_table_evaluation_matches_horner(p, c, order):
-    assert _eval_at(p, _phi_argument, c, order) == eval_series_horner(p, _phi_argument(c, order))
-    assert _eval_at(p, _w_argument, c, order) == eval_series_horner(p, _w_argument(c, order))
+@given(st.integers(min_value=0, max_value=11), alphas, xs, orders)
+@example(11, F(1, 3), F(-1), 12)
+@example(11, F(5, 2), F(0), 12)
+@example(4, F(2), F(-1), 0)
+def test_shift_series_match_horner_at_their_arguments(m, alpha, x, order):
+    e = Series.exp_t(1, order)
+    w_argument = e * x * _geometric_from_exp_t(x, order)  # x e^t G
+    w_horner = fam.gf_general_geometric(x, alpha, order) * eval_series_horner(
+        fam.general_geometric(m, alpha), w_argument)
+    assert _w_shift_series(m, alpha, x, order) == w_horner
+    phi_horner = fam.gf_exp_bell(x, order) * eval_series_horner(fam.exponential_poly(m), e * x)
+    assert _chk_gf_phi_shift(m, x, order)[0][2] == phi_horner
 
 
-def test_power_table_grows_past_earlier_degrees():
-    arg = _w_argument(F(2, 3), 9)
-    for degree in (2, 11, 4):
-        p = Poly([F(k + 1, 3) for k in range(degree + 1)])
-        assert _eval_at(p, _w_argument, F(2, 3), 9) == eval_series_horner(p, arg)
+def _clear_caches():
+    for module in (fam, identities):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
+def test_geometric_shift_series_multiply_no_two_series(monkeypatch):
+    # each right side is a linear combination of cached general geometric series
+    counts = {"products": 0}
+    multiply = Series.__mul__
+
+    def counted_mul(self, other):
+        counts["products"] += isinstance(other, Series)
+        return multiply(self, other)
+
+    monkeypatch.setattr(Series, "__mul__", counted_mul)
+    _clear_caches()
+    try:
+        summary, _, _ = run_all(GridConfig(), ["gf-w-shift", "gf-w-base", "gf-apostol-euler-shift"])
+    finally:
+        _clear_caches()
+    assert summary.failed == 0 and summary.passed > 0
+    assert counts == {"products": 0}
 
 
 def test_gf_shift_ids_pass_beyond_the_default_shift_bound():
