@@ -38,11 +38,14 @@ side; apostol-bernoulli-diag-recurrence is apostol-bernoulli-recurrence at
 n = 0.  spivey checks Spivey's integer row {n+m, d} (_spivey_row), and
 w-general-recurrence, w-explicit (alpha = 1) and fubini-explicit (its sum, the
 value at x = 1) read it through x^d -> alpha(alpha+1)...(alpha+d-1) x^d, which
-takes phi_{n+m} to w_{n+m,alpha} (_geometric_row).  A gf-*-shift right side
-is a sum of cached series: for G = 1/(1 - x(e^t - 1)), x e^t G = (1+x)G - 1, so
-G^alpha w_{m,alpha}(x e^t G) is a sum of the cached G^(alpha+j)
-(families.gf_general_geometric), and phi_m(x e^t) one of the e^{kt}.  No
-series here inverts lam e^t +- 1.
+takes phi_{n+m} to w_{n+m,alpha} (_geometric_row).  A gf right side sums
+cached family series, weighted by w_{m,alpha}(y - 1) (_w_at_y_minus_one): as
+x e^t G = (1+x)G - 1 for G = 1/(1 - x(e^t - 1)), G^alpha w_{m,alpha}(x e^t G)
+sums the G^(alpha+j) (families.gf_general_geometric), phi_m(x e^t) the
+e^{kt} = G^(-k) at x = -1, and the lam = 1 pole-cleared Bernoulli side the
+(t/(e^t - 1))^(l+j) (families.gf_bernoulli_higher) read from t^(l+j) on.  The
+one series product in a check is gf-phi's e^{x(e^t-1)} phi_m(x e^t), the
+statement itself; no series here inverts lam e^t +- 1.
 """
 
 from __future__ import annotations
@@ -197,12 +200,14 @@ class Identity:
         if self.check is None:
             object.__setattr__(self, "check", _halves(self.halves))
 
-    @property
-    def lambda_degree_bound(self) -> Callable[[GridConfig], int] | None:
-        """The --lambda-certify degree bound: the series one for a shift in m ("gm")."""
+    def lambda_degree_bound(self, grid: GridConfig) -> int | None:
+        """The --lambda-certify degree bound, None without a lambda axis: both sides are rational
+        functions of lambda of degrees at most the largest index B reached on the grid (series
+        order plus shift for a shift in m, "gm"), and 2B over-covers the cross-multiplied degree."""
         if "lambda" not in self.slots:
             return None
-        return _deg_bound_gf if "gm" in self.slots else _deg_bound_rec
+        index = grid.order + grid.gf_mmax if "gm" in self.slots else grid.nmax + grid.mmax
+        return 2 * (index + max(grid.ls, default=1) + max(grid.int_alphas, default=1) + 2)
 
 
 REGISTRY: dict[str, Identity] = {}
@@ -290,21 +295,6 @@ def _euler_series_lhs(values, order: int) -> Series:
     return Series([values(n) / factorial(n) for n in range(order + 1)], order)
 
 
-# degree-bound helpers for lambda certification -------------------------------
-# Both sides of every lambda-bearing identity are rational functions of lambda
-# whose numerator and denominator degrees are bounded by the largest index
-# reached on the grid; 2*B over-covers the cross-multiplied degree.
-
-def _deg_bound_rec(grid: GridConfig) -> int:
-    b = grid.nmax + grid.mmax + max(grid.ls, default=1) + max(grid.int_alphas, default=1) + 2
-    return 2 * b
-
-
-def _deg_bound_gf(grid: GridConfig) -> int:
-    b = grid.order + grid.gf_mmax + max(grid.ls, default=1) + max(grid.int_alphas, default=1) + 2
-    return 2 * b
-
-
 def certification_lambdas(bound: int) -> tuple[Fraction, ...]:
     """2*bound + 2 distinct rationals clear of the singular points 0, +-1."""
     return tuple(F(k) for k in range(2, 2 * bound + 4))
@@ -338,21 +328,25 @@ def _chk_spivey(n, m) -> list[Pair]:
 
 def _chk_gf_phi_shift(m, x, order) -> list[Pair]:
     lhs = _euler_series_lhs(lambda n: fam.exponential_poly(n + m)(x), order)
-    # phi_m(x e^t) = sum_k {m,k} x^k e^{kt}
+    # phi_m(x e^t) = sum_k {m,k} x^k e^{kt}, e^{kt} = (1 + (e^t - 1))^k the cached general geometric series at x = -1
     coeffs = fam.exponential_poly(m).coeffs
     composed = linear_combination([c * x**k for k, c in enumerate(coeffs)],
-                                  [Series.exp_t(k, order) for k in range(len(coeffs))], order)
+                                  [fam.gf_general_geometric(-1, -k, order) for k in range(len(coeffs))], order)
     return [("", lhs, fam.gf_exp_bell(x, order) * composed)]
 
 
-def _w_shift_series(m: int, alpha: Fraction, x: Fraction, order: int) -> Series:
-    """G^alpha w_{m,alpha}(x e^t G) for G = 1/(1 - x(e^t - 1)), the generating
-    series of w_{n+m,alpha}(x) t^n/n!, for alpha > 0.  As x e^t G = (1+x)G - 1,
-    it is sum_j d_j G^(alpha+j) over the cached general geometric series, d_j =
-    (1+x)^j sum_k C(k,j) (-1)^(k-j) c_k for w_{m,alpha}(y) = sum_k c_k y^k."""
+def _w_at_y_minus_one(m: int, alpha: Fraction) -> list[Fraction]:
+    """The coefficients e_j = sum_k C(k,j) (-1)^(k-j) c_k of w_{m,alpha}(y - 1), for w_{m,alpha}(y) = sum_k c_k y^k."""
     c = fam.general_geometric(m, alpha).coeffs
-    d = [(1 + x) ** j * sum(binomial(k, j) * (-1) ** (k - j) * c[k] for k in range(j, len(c))) for j in range(len(c))]
-    return linear_combination(d, [fam.gf_general_geometric(x, alpha + j, order) for j in range(len(c))], order)
+    return [sum(binomial(k, j) * (-1) ** (k - j) * c[k] for k in range(j, len(c))) for j in range(len(c))]
+
+
+def _w_shift_series(m: int, alpha: Fraction, x: Fraction, order: int) -> Series:
+    """G^alpha w_{m,alpha}(x e^t G), G = 1/(1 - x(e^t - 1)), the series of w_{n+m,alpha}(x) t^n/n! for alpha > 0:
+    as x e^t G = (1+x)G - 1, it is sum_j (1+x)^j e_j G^(alpha+j) over the cached general geometric series."""
+    e = _w_at_y_minus_one(m, alpha)
+    return linear_combination([(1 + x) ** j * c for j, c in enumerate(e)],
+                              [fam.gf_general_geometric(x, alpha + j, order) for j in range(len(e))], order)
 
 
 def _chk_gf_w_shift(m, alpha, x, order) -> list[Pair]:
@@ -377,18 +371,13 @@ def _chk_gf_apostol_bernoulli_shift(m, l, lam, order) -> list[Pair]:
         # l!/(lam e^t - 1)^l = l!/(lam-1)^l (1 - x(e^t-1))^(-l) at x = -lam/(lam-1)
         rhs = _w_shift_series(m, l, -lam / (lam - 1), order) * (factorial(l) / (lam - 1) ** l)
         return [("", _euler_series_lhs(values, order), rhs)]
-    # classical limit: the right side has a pole of order l+m at t=0, so the
-    # comparison clears t^{l+m} and checks the nonnegative-degree coefficients
-    shift = l + m
-    if order < shift + 1:
+    # classical limit, u = e^t - 1: t^(l+m) sum_j l! (-1)^j e_j u^(-l-j) reads each cached (t/u)^(l+j) from t^(l+j) on
+    if (reduced := order - l - m) < 1:
         raise SkipDomain("series order too small for the pole-cleared comparison")
-    terms = [(k, c) for k, c in enumerate(fam.general_geometric(m, l).coeffs) if c]
-    r_series = linear_combination(
-        [factorial(l) * (-1) ** k * c for k, c in terms],
-        [Series.t(order) ** (m - k) * Series.exp_t(k, order) * fam.gf_bernoulli_higher(l + k, order)
-         for k, _ in terms],
-        order)
-    return [("pole-cleared", _euler_series_lhs(values, order - shift), Series(r_series.coeffs[shift:]))]
+    e = _w_at_y_minus_one(m, l)
+    terms = [Series(fam.gf_bernoulli_higher(l + j, order).coeffs[l + j:]) for j in range(len(e))]
+    rhs = linear_combination([factorial(l) * (-1) ** j * c for j, c in enumerate(e)], terms, reduced)
+    return [("pole-cleared", _euler_series_lhs(values, reduced), rhs)]
 
 
 def _chk_w_general_recurrence(n, m, alpha) -> list[Pair]:
@@ -788,9 +777,9 @@ def get_identity(identity_id: str) -> Identity:
 
 def identity_grid_for(identity: Identity, grid: GridConfig) -> tuple[GridConfig, int | None]:
     """Apply lambda-certification (when requested) to one identity's grid."""
-    if not grid.certify or identity.lambda_degree_bound is None:
+    bound = identity.lambda_degree_bound(grid) if grid.certify else None
+    if bound is None:
         return grid, None
-    bound = identity.lambda_degree_bound(grid)
     return replace(grid, lambdas=certification_lambdas(bound)), bound
 
 

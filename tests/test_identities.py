@@ -235,6 +235,14 @@ def test_lambda_certification_mode():
     assert len(lam_values) == 2 * bound + 2
 
 
+def test_lambda_degree_bound_reads_the_largest_index_of_its_grid():
+    # the series order plus the shift for a shift in m ("gm"), n + m otherwise
+    grid = GridConfig(nmax=3, mmax=5, gf_mmax=7, order=11, ls=(2, 6), int_alphas=(1, 4))
+    assert REGISTRY["gf-apostol-euler-shift"].lambda_degree_bound(grid) == 2 * (11 + 7 + 6 + 4 + 2)
+    assert REGISTRY["apostol-euler-recurrence"].lambda_degree_bound(grid) == 2 * (3 + 5 + 6 + 4 + 2)
+    assert REGISTRY["spivey"].lambda_degree_bound(grid) is None
+
+
 def test_certification_lambda_generator():
     lams = certification_lambdas(3)
     assert len(lams) == 8 and lams[0] == 2 and len(set(lams)) == 8

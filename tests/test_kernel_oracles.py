@@ -137,6 +137,13 @@ def test_binomial_power_matches_steps_on_the_geometric_bases():
             assert list(binomial_power(base, r).coeffs) == binomial_power_by_steps(base, r), (x, order, r)
 
 
+def test_general_geometric_at_minus_one_is_exp_kt():
+    # 1 - (-1)(e^t - 1) = e^t, so the general geometric series of order -k at x = -1 is e^{kt}
+    for k, order in product(range(9), range(25)):
+        want = tuple(F(k**n, factorial(n)) for n in range(order + 1))
+        assert fam.gf_general_geometric(-1, -k, order).coeffs == want, (k, order)
+
+
 def test_exp_matches_steps_on_the_bell_bases():
     for x, order in product(_XS, _ORDERS):
         u = (Series.exp_t(1, order) - 1) * x

@@ -1,8 +1,12 @@
 """The series layer's integer products and the gf-*-shift right sides against
-naive Fraction references (oracles.py), a guard that the geometric shift series
-multiply no two series, and the gf-*-shift ids on grids wider than the default
-one."""
+naive Fraction references (oracles.py), guards that the gf checks read every
+series off the cached family builders, and the gf ids on grids wider than the
+default one, their JSON bytes pinned."""
 
+import hashlib
+import json
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -12,7 +16,8 @@ from hypothesis import strategies as st
 from polyfam import families as fam
 from polyfam import identities
 from polyfam.cli import _apply_config, _grid_from_args, build_parser
-from polyfam.identities import GridConfig, _chk_gf_phi_shift, _w_shift_series, run_all
+from polyfam.identities import GridConfig, _chk_gf_phi_shift, _w_at_y_minus_one, _w_shift_series, run_all
+from polyfam.poly import Poly
 from polyfam.series import Series, linear_combination
 
 from .oracles import _geometric_from_exp_t, convolve_coeffs, eval_series_horner
@@ -30,6 +35,7 @@ alphas = st.fractions(min_value=F(1, 7), max_value=6, max_denominator=7)
 xs = st.one_of(st.sampled_from([F(-1), F(0)]), small)
 
 GF_SHIFT_IDS = ["gf-phi-shift", "gf-w-shift", "gf-apostol-euler-shift", "gf-apostol-bernoulli-shift"]
+GF_IDS = GF_SHIFT_IDS + ["gf-phi-base", "gf-w-base"]
 
 
 @given(series, series)
@@ -67,6 +73,10 @@ def test_shift_series_match_horner_at_their_arguments(m, alpha, x, order):
     w_horner = fam.gf_general_geometric(x, alpha, order) * eval_series_horner(
         fam.general_geometric(m, alpha), w_argument)
     assert _w_shift_series(m, alpha, x, order) == w_horner
+    y_minus_one = Poly()
+    for c in reversed(fam.general_geometric(m, alpha).coeffs):
+        y_minus_one = y_minus_one * Poly((-1, 1)) + c
+    assert tuple(_w_at_y_minus_one(m, alpha)) == y_minus_one.coeffs
     phi_horner = fam.gf_exp_bell(x, order) * eval_series_horner(fam.exponential_poly(m), e * x)
     assert _chk_gf_phi_shift(m, x, order)[0][2] == phi_horner
 
@@ -95,6 +105,77 @@ def test_geometric_shift_series_multiply_no_two_series(monkeypatch):
         _clear_caches()
     assert summary.failed == 0 and summary.passed > 0
     assert counts == {"products": 0}
+
+
+def test_gf_checks_build_no_series_of_their_own(monkeypatch):
+    # Series.t and Series.exp_t refuse, every series product and power is
+    # counted, and gf_bernoulli_higher marks the products made inside it
+    def refuse(*args):
+        raise AssertionError("a gf check built a series of its own")
+
+    counts = {"products": 0, "powers": 0, "outside": 0}
+    inside = [0]
+    multiply, power, builder = Series.__mul__, Series.__pow__, fam.gf_bernoulli_higher
+
+    def counted_mul(self, other):
+        if isinstance(other, Series):
+            counts["products"] += 1
+            counts["outside"] += not inside[0]
+        return multiply(self, other)
+
+    def counted_pow(self, e):
+        counts["powers"] += 1
+        return power(self, e)
+
+    def marked_builder(l, order):
+        inside[0] += 1
+        try:
+            return builder(l, order)
+        finally:
+            inside[0] -= 1
+
+    marked_builder.cache_clear = builder.cache_clear  # so _clear_caches still empties the builder's cache
+    monkeypatch.setattr(Series, "t", staticmethod(refuse))
+    monkeypatch.setattr(Series, "exp_t", staticmethod(refuse))
+    monkeypatch.setattr(Series, "__mul__", counted_mul)
+    monkeypatch.setattr(Series, "__pow__", counted_pow)
+    monkeypatch.setattr(fam, "gf_bernoulli_higher", marked_builder)
+    _clear_caches()
+    try:
+        cold, _, _ = run_all(GridConfig(), ["gf-apostol-bernoulli-shift"])
+        cold_counts = dict(counts)
+        summary, reports, _ = run_all(GridConfig(), GF_IDS)
+        counts.update(products=0, powers=0, outside=0)
+        warm, _, _ = run_all(GridConfig(), ["gf-apostol-bernoulli-shift"])
+    finally:
+        _clear_caches()
+    assert cold.failed == 0 and cold.passed > 0
+    assert cold_counts["products"] <= 35 and cold_counts["outside"] == 0, cold_counts
+    assert summary.failed == 0 and {r.id for r in reports if r.status == "pass"} == set(GF_IDS)
+    assert warm == cold
+    assert counts == {"products": 0, "powers": 0, "outside": 0}
+
+
+# sha256 of the stdout of `verify <the six gf ids> --format json <flags>`
+GF_JSON_SHA256 = {
+    ("--nmax", "12", "--mmax", "12", "--nm-sum", "16", "--order", "24", "--gf-mmax", "8"):
+        "635ac4e15a70d71209c848da969cf10ce469b8943b64209f5b01d3c9a7fe1218",
+    # edge values, lambda = 1 among them with l + m up to 14
+    ("--x=-1,0,5/3,-7/2", "--alpha", "1/3,7,9/4", "--lambda=-1/2,1/2,3,-5,0,1", "--l", "1,5",
+     "--gf-mmax", "9", "--order", "20"):
+        "47a02c11706fb5ff421d497f0fabc7e34e39d8dcb92c06e90ba4dd937955ea7f",
+}
+
+
+def test_gf_ids_json_bytes_on_wider_grids():
+    ids = [arg for gf in sorted(GF_IDS) for arg in ("--id", gf)]
+    for flags, digest in GF_JSON_SHA256.items():
+        proc = subprocess.run([sys.executable, "-m", "polyfam", "verify", *ids, "--format", "json", *flags],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest, flags
+    # the edge grid, run last
+    assert json.loads(proc.stdout)["summary"] == {"pass": 476, "fail": 0, "skipped": 0}
 
 
 def test_gf_shift_ids_pass_beyond_the_default_shift_bound():
