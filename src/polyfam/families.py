@@ -345,10 +345,10 @@ def gf_geometric(x: Rat, order: int) -> Series:
 
 @lru_cache(maxsize=None)
 def gf_bernoulli_higher(l: int, order: int) -> Series:
-    """(t/(e^t - 1))^l."""
+    """(t/(e^t - 1))^l: ((e^t - 1)/t)^(-l), one binomial_power."""
     if l < 1:
         raise DomainError("order l must be a positive integer")
-    return expm1_over_t(order).inverse() ** l
+    return binomial_power(expm1_over_t(order), -l)
 
 
 @lru_cache(maxsize=None)
@@ -382,9 +382,9 @@ def gf_apostol_euler_mantissa(alpha: Rat, lam: Rat, order: int) -> Series:
 
 @lru_cache(maxsize=None)
 def gf_bernoulli_second_kind(order: int) -> Series:
-    """t/log(1+t), via the unit series log(1+t)/t."""
+    """t/log(1+t): the unit series log(1+t)/t to the power -1."""
     log_over_t = Series([Fraction((-1) ** k, k + 1) for k in range(order + 1)], order)
-    return log_over_t.inverse()
+    return binomial_power(log_over_t, -1)
 
 
 # ---------------------------------------------------------------------------

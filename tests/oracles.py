@@ -293,9 +293,12 @@ def exp_by_sum(u: list[Fraction]) -> list[Fraction]:
     return out
 
 
-# -- the per-step series recurrences that the EGF-number kernels replaced ------
+# -- the per-step series recurrences, one for exp and one for powers -----------
 # Step i sums its terms, the step's factor folded into each, as one integer over
-# the lcm of their own denominators, in ordinary coefficients.
+# the lcm of their own denominators, in ordinary coefficients.  series runs one
+# such loop for both, weights ((p+q)k - qi)/(s i), on every base off the
+# difference table's form; on those bases the independent references are
+# exp_by_sum and binomial_power_by_sum.
 
 def exp_by_steps(u: Series) -> list[Fraction]:
     """exp(u) from f' = u'f: step i sums (k u_k / i) f_{i-k} over k = 1..i."""
@@ -321,16 +324,23 @@ def binomial_power_by_steps(a: Series, r: Fraction) -> list[Fraction]:
 
 
 # -- the Apostol-type series builders that the geometric series replaced ------
-# Each inverts lam e^t -+ 1 afresh, instead of reading (1 - x(e^t - 1))^(-1).
+# Each inverts lam e^t -+ 1 afresh, instead of reading (1 - x(e^t - 1))^(-1),
+# by the plain recurrence: Series.inverse is binomial_power at r = -1, which
+# would hand these bases to the builders' own difference table.
+
+def _inverse(s: Series) -> Series:
+    return Series(inverse_by_recurrence(list(s.coeffs)), s.order)
+
 
 def gf_apostol_bernoulli_by_inverse(l: int, lam: Fraction, order: int) -> Series:
     """(t/(lam e^t - 1))^l."""
-    return (Series.t(order) * (Series.exp_t(1, order) * lam - 1).inverse()) ** l
+    return (Series.t(order) * _inverse(Series.exp_t(1, order) * lam - 1)) ** l
 
 
 def gf_apostol_euler_by_inverse(alpha: int, lam: Fraction, order: int) -> Series:
     """(2/(lam e^t + 1))^alpha."""
-    return ((Series.exp_t(1, order) * lam + 1).inverse() * 2) ** alpha
+    g = _inverse(Series.exp_t(1, order) * lam + 1) * 2
+    return g**alpha if alpha >= 0 else _inverse(g) ** -alpha
 
 
 # -- the power-by-squaring builders that one general geometric series replaced --

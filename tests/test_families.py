@@ -18,6 +18,7 @@ from .oracles import (
     bernoulli_by_recurrence,
     bernoulli_higher_by_convolution,
     bernoulli_higher_poly_in_x,
+    convolve_coeffs,
     euler_zero_values,
     exponential_poly_recurrence,
     fubini_by_enumeration,
@@ -26,6 +27,7 @@ from .oracles import (
     gf_apostol_euler_by_inverse,
     gf_apostol_euler_by_squaring,
     gregory_by_integration,
+    inverse_by_recurrence,
     stirling2_row_by_enumeration,
 )
 
@@ -161,6 +163,21 @@ def test_bernoulli_tables_share_one_series_across_indices():
     assert fam.gf_bernoulli_second_kind.cache_info().misses == 3 + 1
 
 
+@pytest.mark.parametrize("order", [0, 1, 2, 12, 16, 32, 64])
+def test_bernoulli_series_match_their_inverse_bodies(order):
+    # the old builders inverted (e^t - 1)/t and log(1 + t)/t and raised the first
+    # inverse to the power l; the catalog reaches l = 12 at order 16.  Cold
+    # caches, so that each series is built here
+    _clear_family_caches()
+    inverse = inverse_by_recurrence([F(1, factorial(k + 1)) for k in range(order + 1)])
+    want = [F(1)] + [F(0)] * order
+    for l in range(1, 13):
+        want = convolve_coeffs(want, inverse)[: order + 1]
+        assert list(fam.gf_bernoulli_higher(l, order).coeffs) == want, l
+    log_over_t = [F((-1) ** k, k + 1) for k in range(order + 1)]
+    assert list(fam.gf_bernoulli_second_kind(order).coeffs) == inverse_by_recurrence(log_over_t)
+
+
 # -- Apostol-Bernoulli family -------------------------------------------------
 
 def test_apostol_bernoulli_values():
@@ -233,10 +250,13 @@ def test_apostol_series_builders_match_their_squaring_route(lam, order):
     ["--gf", "apostol-bernoulli", "--l", "3", "--lambda", "2"],
     ["--gf", "apostol-euler", "--alpha", "3", "--lambda", "1/3"],
     ["--gf", "apostol-euler", "--alpha", "-2", "--lambda", "-3"],
+    ["--gf", "bernoulli-higher", "--l", "3"],
+    ["--gf", "bernoulli-second-kind"],
 ], ids=lambda argv: " ".join(argv[1::2]))
 def test_apostol_series_take_one_binomial_power_and_no_product(monkeypatch, capsys, argv):
-    # one general geometric series, scaled (and shifted by t^l); the
-    # power-by-squaring route multiplied two series at least once
+    # one general geometric series, scaled (and shifted by t^l), or one power
+    # of (e^t - 1)/t or log(1 + t)/t; the power-by-squaring route multiplied
+    # two series at least once, and the inverse called no binomial_power
     counts = {"products": 0, "binomial_power": 0}
     multiply, power = Series.__mul__, fam.binomial_power
 

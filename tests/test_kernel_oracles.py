@@ -168,7 +168,7 @@ def test_kernels_match_steps_on_expm1_over_t():
 
 
 def test_kernels_match_steps_one_number_off_the_geometric_bases():
-    # EGF numbers -x for every k >= 1 but k = 5: the Horner loop, not the difference table
+    # EGF numbers -x for every k >= 1 but k = 5: the per-step loop, not the difference table
     for x in (F(1), F(-2, 3)):
         base = Series([1] + [F(-x, factorial(k)) + (k == 5) for k in range(1, 25)], 24)
         for r in (F(-3), F(5, 2), F(-1, 2)):

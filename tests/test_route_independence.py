@@ -83,11 +83,11 @@ MUTATIONS = {
     "binomial_power coefficient 3 + 1/7": (fam, "binomial_power", lambda f: _bumped(f, 3, F(1, 7))),
     "_difference_table coefficient 3 + 1/7":
         (series, "_difference_table", lambda f: lambda *args: _bump(f(*args), 3, F(1, 7))),
-    "Series.inverse coefficient 2 + 1": (Series, "inverse", lambda f: _bumped(f, 2, 1)),
     "euler_prefactor_base x2": (fam, "euler_prefactor_base", lambda f: lambda lam: 2 * f(lam)),
     "gen_binomial(., 2) + 1 in identities":
         (identities, "gen_binomial", lambda f: lambda r, k: f(r, k) + (k == 2)),
     "_sum_over_lcm drops its last term": (identities, "_sum_over_lcm", _sum_over_lcm),
+    "series.sum_over_lcm drops its last term": (series, "sum_over_lcm", _sum_over_lcm),
     "linear_combination coefficient 1 + 1/3": (identities, "linear_combination", lambda f: _bumped(f, 1, F(1, 3))),
     "Series.__mul__ product coefficient 2 + 1": (Series, "__mul__", _series_mul),
     "Series.exp coefficient 2 + 1": (Series, "exp", lambda f: _bumped(f, 2, 1)),
@@ -106,18 +106,14 @@ CAUGHT_BY = {
         "apostol-bernoulli-classical", "fubini-explicit", "gf-phi-base", "gf-phi-shift", "gf-w-base",
         "gf-w-shift", "w-connections",
     },
-    # gf-apostol-euler-shift, gf-w-base and gf-w-shift are not here: their right
-    # sides are sums of cached general geometric series and multiply no two series
+    # only gf-phi's statement product e^{x(e^t-1)} phi_m(x e^t) multiplies two
+    # series: every other right side is a cached series or a linear combination
+    # of them, and (t/(e^t - 1))^l is one binomial power, not an inverse squared
     "Series.__mul__ product coefficient 2 + 1": {
-        "apostol-bernoulli-recurrence", "aux-srivastava-luo", "bernoulli-higher-recurrence", "diag-bernoulli-values",
-        "gf-apostol-bernoulli-shift", "gf-phi-base", "gf-phi-shift", "poly-shift-prop", "poly-shift-theorem",
+        "gf-phi-base", "gf-phi-shift",
     },
     "Series.exp coefficient 2 + 1": {
         "gf-phi-base", "gf-phi-shift",
-    },
-    "Series.inverse coefficient 2 + 1": {
-        "apostol-bernoulli-recurrence", "aux-srivastava-luo", "bernoulli-higher-recurrence",
-        "diag-bernoulli-values", "gf-apostol-bernoulli-shift", "poly-shift-prop", "poly-shift-theorem",
     },
     "Stirling [3,1] + 1": {
         "bernoulli-higher-recurrence", "diag-bernoulli-values", "finite-sums", "poly-shift-theorem",
@@ -152,8 +148,10 @@ CAUGHT_BY = {
         "diag-bernoulli-values", "finite-sums", "poly-shift-prop", "poly-shift-theorem",
     },
     "binomial_power coefficient 3 + 1/7": {
-        "apostol-bernoulli-explicit", "apostol-euler-explicit", "gf-apostol-bernoulli-shift",
-        "gf-apostol-euler-shift", "gf-w-base", "gf-w-shift",
+        "apostol-bernoulli-explicit", "apostol-bernoulli-recurrence", "apostol-euler-explicit",
+        "aux-srivastava-luo", "bernoulli-higher-recurrence", "diag-bernoulli-values", "gf-apostol-bernoulli-shift",
+        "gf-apostol-euler-shift", "gf-phi-base", "gf-phi-shift", "gf-w-base", "gf-w-shift", "poly-shift-prop",
+        "poly-shift-theorem",
     },
     "euler_prefactor_base x2": {
         "apostol-euler-explicit", "aux-wang", "poly-shift-theorem",
@@ -168,6 +166,12 @@ CAUGHT_BY = {
     "linear_combination coefficient 1 + 1/3": {
         "gf-apostol-bernoulli-shift", "gf-apostol-euler-shift", "gf-phi-base", "gf-phi-shift", "gf-w-base",
         "gf-w-shift",
+    },
+    # the per-step series loop: of the catalog's series only (t/(e^t - 1))^l and
+    # t/log(1 + t) take it; every e^t-type base takes _difference_table
+    "series.sum_over_lcm drops its last term": {
+        "apostol-bernoulli-recurrence", "aux-srivastava-luo", "bernoulli-higher-recurrence",
+        "diag-bernoulli-values", "gf-apostol-bernoulli-shift", "poly-shift-prop", "poly-shift-theorem",
     },
 }
 

@@ -108,52 +108,40 @@ def test_geometric_shift_series_multiply_no_two_series(monkeypatch):
 
 
 def test_gf_checks_build_no_series_of_their_own(monkeypatch):
-    # Series.t and Series.exp_t refuse, every series product and power is
-    # counted, and gf_bernoulli_higher marks the products made inside it
+    # Series.t and Series.exp_t refuse, and every series product and power is
+    # counted: on cold caches too, since gf_bernoulli_higher is one binomial power
     def refuse(*args):
         raise AssertionError("a gf check built a series of its own")
 
-    counts = {"products": 0, "powers": 0, "outside": 0}
-    inside = [0]
-    multiply, power, builder = Series.__mul__, Series.__pow__, fam.gf_bernoulli_higher
+    counts = {"products": 0, "powers": 0}
+    multiply, power = Series.__mul__, Series.__pow__
 
     def counted_mul(self, other):
-        if isinstance(other, Series):
-            counts["products"] += 1
-            counts["outside"] += not inside[0]
+        counts["products"] += isinstance(other, Series)
         return multiply(self, other)
 
     def counted_pow(self, e):
         counts["powers"] += 1
         return power(self, e)
 
-    def marked_builder(l, order):
-        inside[0] += 1
-        try:
-            return builder(l, order)
-        finally:
-            inside[0] -= 1
-
-    marked_builder.cache_clear = builder.cache_clear  # so _clear_caches still empties the builder's cache
     monkeypatch.setattr(Series, "t", staticmethod(refuse))
     monkeypatch.setattr(Series, "exp_t", staticmethod(refuse))
     monkeypatch.setattr(Series, "__mul__", counted_mul)
     monkeypatch.setattr(Series, "__pow__", counted_pow)
-    monkeypatch.setattr(fam, "gf_bernoulli_higher", marked_builder)
     _clear_caches()
     try:
         cold, _, _ = run_all(GridConfig(), ["gf-apostol-bernoulli-shift"])
         cold_counts = dict(counts)
         summary, reports, _ = run_all(GridConfig(), GF_IDS)
-        counts.update(products=0, powers=0, outside=0)
+        counts.update(products=0, powers=0)
         warm, _, _ = run_all(GridConfig(), ["gf-apostol-bernoulli-shift"])
     finally:
         _clear_caches()
     assert cold.failed == 0 and cold.passed > 0
-    assert cold_counts["products"] <= 35 and cold_counts["outside"] == 0, cold_counts
+    assert cold_counts == {"products": 0, "powers": 0}
     assert summary.failed == 0 and {r.id for r in reports if r.status == "pass"} == set(GF_IDS)
     assert warm == cold
-    assert counts == {"products": 0, "powers": 0, "outside": 0}
+    assert counts == {"products": 0, "powers": 0}
 
 
 # sha256 of the stdout of `verify <the six gf ids> --format json <flags>`
