@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
-import json
 import re
 import sys
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
-from itertools import islice
+from itertools import accumulate, count, islice, repeat
+from json.encoder import encode_basestring_ascii
+from operator import mul
 
 from . import families as fam
 from .identities import REGISTRY, GridConfig, run_all
@@ -173,23 +173,63 @@ def _real(value):
     return value
 
 
-def _emit_csv(rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
-    return buf.getvalue()
+def _write_csv(rows: list[list[str]]) -> None:
+    csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
 
 
-_JSON_BLOCK = 65536  # encoder chunks joined per write
+_JSON_BLOCK = 4096  # pieces joined per write
+
+
+class _Rendered(tuple):
+    """A JSON array of texts _json rendered at its item depth, for _write_json's top levels only."""
+
+
+def _json(value, pad: str = "") -> str:
+    """json.dumps(value, indent=2) of a dict with str keys, list, str, int, bool or None
+    written at indent pad; any other type, float and Fraction included, raises TypeError."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        brackets, entries = "{}", [f"{encode_basestring_ascii(key)}: {_json(v, inner)}" for key, v in value.items()]
+    elif isinstance(value, list):
+        brackets, entries = "[]", [_json(v, inner) for v in value]
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(entries) + f"\n{pad}{brackets[1]}" if entries else brackets
+
+
+def _pieces(value, pad: str, levels: int):
+    """_json(value, pad) as texts to concatenate: a dict or list in the top
+    `levels` levels cut at its entries, a _Rendered array at its item texts."""
+    if not levels or not isinstance(value, (dict, list, _Rendered)):
+        yield _json(value, pad)
+        return
+    inner, brackets = pad + "  ", "{}" if isinstance(value, dict) else "[]"
+    sep = f"{brackets[0]}\n{inner}"
+    for key, v in value.items() if brackets == "{}" else zip(repeat(None), value):
+        yield f"{sep}{encode_basestring_ascii(key)}: " if brackets == "{}" else sep
+        yield from (v,) if type(value) is _Rendered else _pieces(v, inner, levels - 1)
+        sep = f",\n{inner}"
+    yield f"\n{pad}{brackets[1]}" if value else brackets
 
 
 def _write_json(obj) -> None:
-    """Write json.dumps(obj, indent=2) and a newline to stdout, joining the
-    encoder's chunks in blocks instead of one string of the whole output."""
-    chunks = json.JSONEncoder(indent=2).iterencode(obj)
-    while block := list(islice(chunks, _JSON_BLOCK)):
+    """Write json.dumps(obj, indent=2) and a newline to stdout, _JSON_BLOCK pieces a write, cut at the
+    entries of its top three levels, which hold each payload's bulk: verify's reports, a table's rows."""
+    pieces = _pieces(obj, "", 3)
+    while block := list(islice(pieces, _JSON_BLOCK)):
         sys.stdout.write("".join(block))
     sys.stdout.write("\n")
+
+
+def _report_json(report) -> str:
+    """One report as the verify payload's "reports" array holds it, two levels deep."""
+    return _json(report.to_dict(), "    ")
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +262,7 @@ def cmd_table(args) -> int:
         }
         _write_json(payload)
     elif args.format == "csv":
-        sys.stdout.write(_emit_csv([[str(n), _cell(v, False)] for n, v in enumerate(values)]))
+        _write_csv([[str(n), _cell(v, False)] for n, v in enumerate(values)])
     else:
         for n, v in enumerate(values):
             sys.stdout.write(f"{n}\t{_cell(v, False)}\n")
@@ -270,12 +310,10 @@ def cmd_verify(args) -> int:
         if unknown:
             raise UsageError(f"unknown identity id: {', '.join(unknown)}")
     grid = _grid_from_args(args)
-    summary, reports, bounds = run_all(grid, ids, perturb=args.perturb, timing=args.timing, jobs=args.jobs)
+    summary, reports, bounds = run_all(grid, ids, perturb=args.perturb, timing=args.timing, jobs=args.jobs,
+                                       render=_report_json if args.format == "json" else None)
     if args.format == "json":
-        payload = {
-            "summary": summary.to_dict(),
-            "reports": [r.to_dict() for r in reports],
-        }
+        payload = {"summary": summary.to_dict(), "reports": _Rendered(reports)}
         if bounds:
             payload["lambda_certification"] = {
                 identity_id: {"degree_bound": bound, "lambda_points": 2 * bound + 2}
@@ -287,7 +325,7 @@ def cmd_verify(args) -> int:
         for r in reports:
             params = " ".join(f"{k}={v}" for k, v in r.params.items())
             rows.append([r.id, params, r.status, r.lhs, r.rhs, str(r.micros)])
-        sys.stdout.write(_emit_csv(rows))
+        _write_csv(rows)
         sys.stdout.write(f"# pass={summary.passed} fail={summary.failed} skipped={summary.skipped}\n")
     else:
         for r in reports:
@@ -311,7 +349,7 @@ def cmd_series(args) -> int:
     series, prefactor = fam.series_value(args.gf, args.order, **flags)
     prefactor = None if prefactor is None else str(_real(prefactor))
     coeffs = series.coeff_strings()
-    egf = [rational_str(series.egf_coeff(n)) for n in range(series.order + 1)]
+    egf = [rational_str(f * c) for f, c in zip(accumulate(count(1), mul, initial=1), series.coeffs)]
     if args.format == "json":
         payload = {"gf": args.gf, "params": _param_obj(flags, fam.SERIES[args.gf]), "order": series.order,
                    "coeffs": coeffs, "egf": egf}
@@ -320,7 +358,7 @@ def cmd_series(args) -> int:
         _write_json(payload)
     elif args.format == "csv":
         rows = [["n", "coeff", "egf"]] + [[str(n), coeffs[n], egf[n]] for n in range(series.order + 1)]
-        sys.stdout.write(_emit_csv(rows))
+        _write_csv(rows)
         if prefactor:
             sys.stdout.write(f"# prefactor={prefactor}\n")
     else:

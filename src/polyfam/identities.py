@@ -788,16 +788,18 @@ def run_identity(identity_id: str, grid: GridConfig | None = None, *,
     return run_all(grid, [identity_id], perturb=perturb, timing=timing)[1]
 
 
-def _run_block(identity_id: str, grid: GridConfig, perturb: bool,
-               timing: bool) -> tuple[str, tuple[list[IdentityReport], int | None]]:
-    """One unit of work: an identity id mapped to its sorted reports and its
-    lambda degree bound."""
+def _run_block(identity_id: str, grid: GridConfig, perturb: bool, timing: bool,
+               render: Callable[[IdentityReport], object] | None = None) -> tuple[str, tuple[list, tuple, int | None]]:
+    """One unit of work: an identity id mapped to its sorted reports, through render when
+    given, their pass, fail and skip counts, and its lambda degree bound."""
     identity = get_identity(identity_id)
     pt_grid, bound = identity_grid_for(identity, grid)
     reports = [_evaluate_point(identity, pt, params, pt_grid, perturb, timing)
                for pt, params in _points(identity.slots, pt_grid)]
     # _points gives canonical order unless an axis repeats a value: the sort is a linear pass that guards it
-    return identity_id, (sorted(reports, key=IdentityReport.sort_key), bound)
+    reports.sort(key=IdentityReport.sort_key)
+    counts = tuple(map([r.status for r in reports].count, ("pass", "fail", "skipped-domain")))
+    return identity_id, (reports if render is None else list(map(render, reports)), counts, bound)
 
 
 def _grid_size(identity_id: str, grid: GridConfig) -> int:
@@ -807,14 +809,15 @@ def _grid_size(identity_id: str, grid: GridConfig) -> int:
 
 
 def run_all(grid: GridConfig | None = None, ids: list[str] | None = None, *,
-            perturb: bool = False, timing: bool = False,
-            jobs: int = 1) -> tuple[Summary, list[IdentityReport], dict[str, int]]:
+            perturb: bool = False, timing: bool = False, jobs: int = 1,
+            render: Callable[[IdentityReport], object] | None = None) -> tuple[Summary, list, dict[str, int]]:
     """Run the selected identities; with jobs > 1, whole identities go to
     min(jobs, len(ids)) worker processes, largest grid first.  The reports are
-    the same either way: blocks are joined in sorted-id order."""
+    the same either way: blocks are joined in sorted-id order.  Given render,
+    each report comes back as render(report), computed where its block ran."""
     grid = grid or GridConfig()
     selected = sorted(REGISTRY) if ids is None else sorted(set(ids))
-    block = partial(_run_block, grid=grid, perturb=perturb, timing=timing)
+    block = partial(_run_block, grid=grid, perturb=perturb, timing=timing, render=render)
     workers = min(jobs, len(selected))
     if workers > 1:
         import multiprocessing  # here, so that importing polyfam and jobs=1 never load it
@@ -825,10 +828,5 @@ def run_all(grid: GridConfig | None = None, ids: list[str] | None = None, *,
     else:
         blocks = dict(map(block, selected))
     reports = [r for i in selected for r in blocks[i][0]]
-    bounds = {i: blocks[i][1] for i in selected if blocks[i][1] is not None}
-    summary = Summary(
-        passed=sum(r.status == "pass" for r in reports),
-        failed=sum(r.status == "fail" for r in reports),
-        skipped=sum(r.status == "skipped-domain" for r in reports),
-    )
-    return summary, reports, bounds
+    bounds = {i: blocks[i][2] for i in selected if blocks[i][2] is not None}
+    return Summary(*map(sum, zip(*(blocks[i][1] for i in selected)))), reports, bounds

@@ -280,7 +280,7 @@ def test_apostol_series_take_one_binomial_power_and_no_product(monkeypatch, caps
 
 
 def _kernel_paths(monkeypatch, run):
-    """(Horner-loop runs, difference-table runs) of the EGF-number kernel during run(), on cold caches."""
+    """(per-step loop runs, difference-table runs) of the EGF-number kernel during run(), on cold caches."""
     counts = {"kernel": 0, "table": 0}
     kernel, table = series._egf_recurrence, series._difference_table
 
@@ -315,7 +315,7 @@ def test_exp_type_bases_take_only_the_difference_table(monkeypatch, capsys, argv
     expm1_over_t(64),
     Series([1] + [F(1, factorial(k)) + (k == 5) for k in range(1, 65)], 64),  # 1 + (e^t - 1) but at k = 5
 ], ids=["expm1_over_t", "one-number-off"])
-def test_other_bases_take_only_the_horner_loop(monkeypatch, base):
+def test_other_bases_take_only_the_per_step_loop(monkeypatch, base):
     assert _kernel_paths(monkeypatch, lambda: binomial_power(base, -3)) == (1, 0)
     assert _kernel_paths(monkeypatch, lambda: (base - 1).exp()) == (1, 0)
 
