@@ -8,19 +8,20 @@ domain are reported ``skipped-domain`` with the reason, never silently passed.
 
 Every identity declares its halves, ``(fn, ...)``: each fn is a plain function
 of two or more keys, its parameters (lam is "lambda"; "order" is the grid's),
-and the check joins, in order, the pairs the halves give, in a fresh list that
-carries the verdict and the rendered ``label=value`` segments in .rendered.  A
-half that raises SkipDomain stops the halves after it, so a domain guard goes
-in the first.  A single half reads every axis and is rendered afresh.  Two or
-more halves each omit an axis (an Euler side of order alpha beside a Bernoulli
-side of order l), so one memo (_rendered_half) holds each half's pairs,
-verdict and segments, computed once per distinct value of its keys.  The
-runner enumerates each identity's grid in canonical order (identity id, then
-the lexicographic key of the rendered parameters), rendering each axis value
-once, and evaluates the points one after another, in one process or, at
-jobs > 1, one identity per worker process; output is the same at any job
-count.  It reports .rendered, except under --perturb, which edits the fresh
-pair list, never the memo, and renders it.
+which give its grid axes, n and m together as nm; only the gf-*-shift ids (gm)
+and aux-srivastava-luo (int_alpha) name theirs.  The check joins, in order, the
+pairs the halves give, in a fresh list that carries the verdict and the
+rendered ``label=value`` segments in .rendered.  A half that raises SkipDomain
+stops the halves after it, so a domain guard goes in the first.  A single half
+reads every axis and is rendered afresh.  Two or more halves each omit an axis
+(an Euler side of order alpha beside a Bernoulli side of order l), so one memo
+(_rendered_half) holds each half's pairs, verdict and segments, computed once
+per distinct value of its keys.  The runner enumerates each identity's grid in
+canonical order (identity id, then the lexicographic key of the rendered
+parameters), rendering each axis value once, and evaluates the points one after
+another, in one process or, at jobs > 1, one identity per worker process;
+output is the same at any job count.  It reports .rendered, except under
+--perturb, which edits the fresh pair list, never the memo, and renders it.
 
 Sums over family values run in integers and build one Fraction at the end:
 with alpha = a/b and lam = p/q, an Euler-side sum is one integer over a power
@@ -134,13 +135,14 @@ SLOTS: dict[str, Callable[[GridConfig], list[dict]]] = {
 
 def _points(slots: tuple[str, ...], grid: GridConfig) -> list[tuple[dict, dict[str, str]]]:
     """The product of the named axes as (values, rendered params) per point,
-    each axis value rendered once.  Each axis is ordered by its rendering and
-    the axes by their keys, which no two interleave, so the points come in
-    canonical order and their params in sorted key order."""
+    each axis value rendered once.  The axes are ordered by their keys, which no
+    two interleave, and each by its rendering, so the params come in sorted key
+    order and the points, sorted where they are built, in canonical order."""
     points = [((), ())]
     for axis in sorted([tuple(sorted(part.items())) for part in SLOTS[slot](grid)] for slot in slots):
         rendered = sorted(((v, tuple((k, rational_str(x)) for k, x in v)) for v in axis), key=itemgetter(1))
         points = [(v + av, r + ar) for v, r in points for av, ar in rendered]
+    points.sort(key=itemgetter(1))
     return [(dict(v), dict(r)) for v, r in points]
 
 
@@ -192,11 +194,14 @@ class Summary:
 class Identity:
     id: str
     description: str
-    slots: tuple[str, ...]  # keys of SLOTS
     halves: tuple[Callable[..., Sequence[Pair]], ...]
+    slots: tuple[str, ...] = None  # keys of SLOTS; unless given, the halves' keys less order, n and m as "nm"
     check: Callable[[dict, GridConfig], list[Pair]] = None  # derived from halves unless given
 
     def __post_init__(self):
+        if self.slots is None:
+            keys = {k for half in self.halves for k in fam._parameter_keys(half, ("order",))}
+            object.__setattr__(self, "slots", tuple(sorted(keys - {"n", "m"} | {"nm"} if {"n", "m"} <= keys else keys)))
         if self.check is None:
             object.__setattr__(self, "check", _halves(self.halves))
 
@@ -668,55 +673,52 @@ def _chk_aux_euler_reflection(n, alpha, lam, x) -> list[Pair]:
 # ---------------------------------------------------------------------------
 
 for _identity in [
-    Identity("spivey", "index-shift convolution for Bell polynomials, symbolic in x", ("nm",), (_chk_spivey,)),
+    Identity("spivey", "index-shift convolution for Bell polynomials, symbolic in x", (_chk_spivey,)),
     Identity("gf-phi-shift", "shifted Bell-polynomial series equals the composed exponential series",
-             ("gm", "x"), (_chk_gf_phi_shift,)),
-    Identity("gf-phi-base", "Bell-polynomial series in exponential form", ("x",), (partial(_chk_gf_phi_shift, 0),)),
+             (_chk_gf_phi_shift,), ("gm", "x")),
+    Identity("gf-phi-base", "Bell-polynomial series in exponential form", (partial(_chk_gf_phi_shift, 0),)),
     Identity("gf-w-shift", "shifted general geometric series equals the substituted binomial-power series",
-             ("gm", "alpha", "x"), (_chk_gf_w_shift,)),
-    Identity("gf-w-base", "general geometric series as a binomial power",
-             ("alpha", "x"), (partial(_chk_gf_w_shift, 0),)),
+             (_chk_gf_w_shift,), ("gm", "alpha", "x")),
+    Identity("gf-w-base", "general geometric series as a binomial power", (partial(_chk_gf_w_shift, 0),)),
     Identity("gf-apostol-euler-shift", "shifted Euler-type number series via geometric polynomial substitution",
-             ("gm", "alpha", "lambda"), (_chk_gf_apostol_euler_shift,)),
-    Identity("gf-apostol-bernoulli-shift",
-             "shifted Bernoulli-type number series via geometric polynomial substitution",
-             ("gm", "l", "lambda"), (_chk_gf_apostol_bernoulli_shift,)),
+             (_chk_gf_apostol_euler_shift,), ("gm", "alpha", "lambda")),
+    Identity("gf-apostol-bernoulli-shift", "shifted Bernoulli-type number series via geometric polynomial substitution",
+             (_chk_gf_apostol_bernoulli_shift,), ("gm", "l", "lambda")),
     Identity("w-general-recurrence", "order-raising recurrence for general geometric polynomials, symbolic in x",
-             ("nm", "alpha"), (_chk_w_general_recurrence,)),
-    Identity("w-explicit", "closed triple sum for geometric polynomials, symbolic in x", ("nm",), (_chk_w_explicit,)),
-    Identity("fubini-explicit", "closed triple sum for ordered Bell numbers", ("nm",), (_chk_fubini_explicit,)),
+             (_chk_w_general_recurrence,)),
+    Identity("w-explicit", "closed triple sum for geometric polynomials, symbolic in x", (_chk_w_explicit,)),
+    Identity("fubini-explicit", "closed triple sum for ordered Bell numbers", (_chk_fubini_explicit,)),
     Identity("apostol-euler-recurrence", "order-raising recurrence for Euler-type numbers",
-             ("nm", "alpha", "lambda"), (_chk_apostol_euler_recurrence,)),
+             (_chk_apostol_euler_recurrence,)),
     Identity("apostol-euler-explicit", "closed Stirling sum for Euler-type numbers against the series route",
-             ("m", "alpha", "lambda"), (_chk_apostol_euler_explicit,)),
+             (_chk_apostol_euler_explicit,)),
     Identity("apostol-bernoulli-recurrence", "order-raising recurrence for Bernoulli-type numbers",
-             ("nm", "l", "lambda"), (_chk_apostol_bernoulli_recurrence,)),
+             (_chk_apostol_bernoulli_recurrence,)),
     Identity("bernoulli-higher-recurrence",
              "diagonal recurrences for higher-order Bernoulli numbers and their inverse transform",
-             ("m", "l"), (_chk_bernoulli_higher_recurrence,)),
+             (_chk_bernoulli_higher_recurrence,)),
     Identity("apostol-bernoulli-diag-recurrence", "diagonal-order recurrence for Bernoulli-type numbers",
-             ("m", "l", "lambda"), (_chk_apostol_bernoulli_diag_recurrence,)),
+             (_chk_apostol_bernoulli_diag_recurrence,)),
     Identity("apostol-bernoulli-explicit", "closed Stirling sum for Bernoulli-type numbers against the series route",
-             ("n", "l", "lambda"), (_chk_apostol_bernoulli_explicit,)),
+             (_chk_apostol_bernoulli_explicit,)),
     Identity("apostol-bernoulli-classical", "first-order Bernoulli-type numbers through geometric polynomial values",
-             ("n", "lambda"), (_chk_apostol_bernoulli_classical,)),
+             (_chk_apostol_bernoulli_classical,)),
     Identity("w-connections",
              "geometric polynomial values at distinguished points give the Euler/Bernoulli-type families",
-             ("n", "alpha", "l", "lambda"), (_connection_euler, _connection_bernoulli, _connection_classical)),
+             (_connection_euler, _connection_bernoulli, _connection_classical)),
     Identity("poly-shift-prop", "shift of the second index into polynomial arguments, number form",
-             ("nm", "l", "alpha", "lambda"), (_prop_euler, _prop_bernoulli)),
+             (_prop_euler, _prop_bernoulli)),
     Identity("poly-shift-theorem", "inverse-transform shift into polynomial arguments, with reflections",
-             ("nm", "l", "alpha", "lambda"), (_theorem_euler, _theorem_bernoulli)),
+             (_theorem_euler, _theorem_bernoulli)),
     Identity("finite-sums", "closed forms for alternating first-kind Stirling sums over both families",
-             ("m", "l", "alpha", "lambda"), (_finite_sums_euler, _finite_sums_bernoulli)),
+             (_finite_sums_euler, _finite_sums_bernoulli)),
     Identity("diag-bernoulli-values", "diagonal higher-order Bernoulli polynomial values and the second-kind link",
-             ("m", "l"), (_chk_diag_bernoulli_values,)),
-    Identity("aux-wang", "order-raising relation for Euler-type polynomials",
-             ("n", "alpha", "lambda", "x"), (_chk_aux_wang,)),
+             (_chk_diag_bernoulli_values,)),
+    Identity("aux-wang", "order-raising relation for Euler-type polynomials", (_chk_aux_wang,)),
     Identity("aux-srivastava-luo", "order-raising relation for Bernoulli-type polynomials",
-             ("n", "int_alpha", "lambda", "x"), (_chk_aux_srivastava_luo,)),
+             (_chk_aux_srivastava_luo,), ("n", "int_alpha", "lambda", "x")),
     Identity("aux-euler-reflection", "reflection of Euler-type polynomials across half the order",
-             ("n", "alpha", "lambda", "x"), (_chk_aux_euler_reflection,)),
+             (_chk_aux_euler_reflection,)),
 ]:
     _register(_identity)
 
@@ -790,14 +792,12 @@ def run_identity(identity_id: str, grid: GridConfig | None = None, *,
 
 def _run_block(identity_id: str, grid: GridConfig, perturb: bool, timing: bool,
                render: Callable[[IdentityReport], object] | None = None) -> tuple[str, tuple[list, tuple, int | None]]:
-    """One unit of work: an identity id mapped to its sorted reports, through render when
-    given, their pass, fail and skip counts, and its lambda degree bound."""
+    """One unit of work: an identity id mapped to its reports in canonical order, through
+    render when given, their pass, fail and skip counts, and its lambda degree bound."""
     identity = get_identity(identity_id)
     pt_grid, bound = identity_grid_for(identity, grid)
     reports = [_evaluate_point(identity, pt, params, pt_grid, perturb, timing)
                for pt, params in _points(identity.slots, pt_grid)]
-    # _points gives canonical order unless an axis repeats a value: the sort is a linear pass that guards it
-    reports.sort(key=IdentityReport.sort_key)
     counts = tuple(map([r.status for r in reports].count, ("pass", "fail", "skipped-domain")))
     return identity_id, (reports if render is None else list(map(render, reports)), counts, bound)
 

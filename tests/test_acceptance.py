@@ -214,6 +214,9 @@ VERIFY_ALL_SECONDS = None
 VERIFY_ALL_SHA256 = "1a3d006f9e05edcc1ca5433e1bfa2a57a01b62bfcf04e566eb15cb7abcebc740"
 # sha256 of the stdout of `verify --all --perturb --format json`, the negative control
 PERTURB_SHA256 = "5f984fb3e266a525a5359792d00c6614da74ee42ae37500f2937344d704ceb05"
+# sha256 of the stdout of `verify --all` on twice the default grid, TWICE_THE_GRID
+TWICE_THE_GRID = ("--nmax", "12", "--mmax", "12", "--nm-sum", "16", "--order", "24", "--gf-mmax", "8")
+VERIFY_ALL_TWICE_SHA256 = "301f2ff1e638d4e2355c0cfd003e0ab543b031b64adce94364317101d52d5a15"
 # sha256 of the stdout of `verify --all --format <fmt>` in the contract's other two formats
 VERIFY_ALL_FORMAT_SHA256 = {
     "plain": "206062a63ba3b27455d46ab011711fd8be674903d315e3aafcb5154cfb3d35ce",
@@ -425,6 +428,13 @@ def test_criterion_09_perturb_bytes():
             assert proc.returncode == 1
             assert hashlib.sha256(proc.stdout.encode()).hexdigest() == PERTURB_SHA256, jobs
             assert json.loads(proc.stdout)["summary"] == {"pass": 0, "fail": 23086, "skipped": 297}
+
+
+def test_criterion_09_twice_the_grid_bytes():
+    with _Budget("9 twice the grid bytes", 60.0):
+        proc = _run_cli("verify", "--all", *TWICE_THE_GRID, "--format", "json", "--jobs", "2")
+        assert proc.returncode == 0
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == VERIFY_ALL_TWICE_SHA256
 
 
 def test_criterion_09_plain_and_csv_bytes():

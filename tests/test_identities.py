@@ -11,6 +11,7 @@ from polyfam.identities import (
     REGISTRY,
     SLOTS,
     GridConfig,
+    Identity,
     UnknownIdentityError,
     certification_lambdas,
     grid_points,
@@ -67,6 +68,25 @@ def test_halves_name_the_keys_of_their_slots():
             assert set(read) <= keys | {"order"}, identity.id
         # an axis that no half reads would repeat identical checks
         assert keys <= {k for read in half_keys for k in read}, identity.id
+
+
+def test_axes_are_derived_from_the_halves_unless_the_parameters_cannot_name_them():
+    # gm (an m bounded by gf_mmax) and int_alpha are the only axes a parameter name cannot say,
+    # so an entry naming any other axes would declare them twice
+    named = {i for i, identity in REGISTRY.items()
+             if Identity(identity.id, identity.description, identity.halves).slots != identity.slots}
+    assert named == {"gf-phi-shift", "gf-w-shift", "gf-apostol-euler-shift", "gf-apostol-bernoulli-shift",
+                     "aux-srivastava-luo"}
+
+    def toy(n, m, x, order):
+        return [("", n + m + x + order, n + m + x + order)]
+
+    assert set(Identity("toy", "n and m read together", (toy,)).slots) == {"nm", "x"}
+    # dataclasses.replace, which wraps a check in place, keeps the axes, given or derived
+    for identity in REGISTRY.values():
+        wrapped = replace(identity, check=identity.check)
+        assert wrapped.slots == identity.slots, identity.id
+        assert wrapped.lambda_degree_bound(GridConfig()) == identity.lambda_degree_bound(GridConfig()), identity.id
 
 
 def test_only_identities_of_two_or_more_halves_fill_the_half_memo():

@@ -51,7 +51,7 @@ def test_blocks_enumerate_in_canonical_order_and_match_a_per_point_path(lambdas,
                       int_alphas=tuple(int(a) for a in alphas if a.denominator == 1),
                       frac_alphas=tuple(a for a in alphas if a.denominator != 1),
                       lambdas=tuple(lambdas), xs=tuple(xs), order=4)
-    # a repeated value repeats the axes after it out of order, which the sort in _run_block mends
+    # a repeated value repeats the axes after it out of order, which the sort in _points mends
     distinct = all(len(set(vs)) == len(vs) for vs in (lambdas, alphas, xs))
     for identity_id, identity in REGISTRY.items():
         pt_grid = identity_grid_for(identity, grid)[0]
@@ -63,6 +63,13 @@ def test_blocks_enumerate_in_canonical_order_and_match_a_per_point_path(lambdas,
         expected = reference_block(identity_id, pt_grid)
         assert reports == expected, identity_id
         assert [list(r.params.items()) for r in reports] == [list(r.params.items()) for r in expected]
+
+
+def test_points_come_in_canonical_order_when_an_axis_repeats_a_value():
+    grid = GridConfig(nmax=1, int_alphas=(1,), frac_alphas=(), lambdas=(F(2), F(2)), xs=(F(1), F(2, 3), F(1)))
+    keys = [tuple(params.items()) for _, params in _points(REGISTRY["aux-wang"].slots, grid)]
+    assert len(keys) == 2 * 1 * 2 * 3
+    assert keys == sorted(keys)
 
 
 REDUCED = ["--nmax", "2", "--mmax", "2", "--gf-mmax", "1", "--order", "6",
