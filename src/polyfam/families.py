@@ -339,10 +339,6 @@ def gf_general_geometric(x: Rat, alpha: Rat, order: int) -> Series:
     return binomial_power(base, -Fraction(alpha))
 
 
-def gf_geometric(x: Rat, order: int) -> Series:
-    return gf_general_geometric(x, Fraction(1), order)
-
-
 @lru_cache(maxsize=None)
 def gf_bernoulli_higher(l: int, order: int) -> Series:
     """(t/(e^t - 1))^l: ((e^t - 1)/t)^(-l), one binomial_power."""
@@ -461,7 +457,7 @@ def _apostol_euler_series(alpha: Rat, lam: Rat, order: int):
 
 SERIES: dict[str, Spec] = {
     "exp-bell": Spec(lambda x, order: (gf_exp_bell(x, order), None)),
-    "geometric": Spec(lambda x, order: (gf_geometric(x, order), None)),
+    "geometric": Spec(lambda x, order: (gf_general_geometric(x, 1, order), None)),
     "general-geometric": Spec(lambda x, alpha, order: (gf_general_geometric(x, alpha, order), None)),
     "apostol-euler": Spec(_apostol_euler_series),
     "apostol-bernoulli": Spec(lambda l, lam, order: (gf_apostol_bernoulli(l, lam, order), None)),

@@ -16,12 +16,14 @@ stops the halves after it, so a domain guard goes in the first.  A single half
 reads every axis and is rendered afresh.  Two or more halves each omit an axis
 (an Euler side of order alpha beside a Bernoulli side of order l), so one memo
 (_rendered_half) holds each half's pairs, verdict and segments, computed once
-per distinct value of its keys.  The runner enumerates each identity's grid in
-canonical order (identity id, then the lexicographic key of the rendered
-parameters), rendering each axis value once, and evaluates the points one after
-another, in one process or, at jobs > 1, one identity per worker process;
-output is the same at any job count.  It reports .rendered, except under
---perturb, which edits the fresh pair list, never the memo, and renders it.
+per distinct value of its keys.  It holds the halves of the block being run: no
+identity shares a half, so the runner empties it as each block starts.  The
+runner enumerates each identity's grid in canonical order (identity id, then
+the lexicographic key of the rendered parameters), rendering each axis value
+once, and evaluates the points in turn, in one process or, at jobs > 1, one
+identity per worker process; output is the same at any job count.  It reports
+.rendered, except under --perturb, which edits the fresh pair list, never the
+memo, and renders it.
 
 Sums over family values run in integers and build one Fraction at the end:
 with alpha = a/b and lam = p/q, an Euler-side sum is one integer over a power
@@ -199,11 +201,12 @@ class Identity:
     check: Callable[[dict, GridConfig], list[Pair]] = None  # derived from halves unless given
 
     def __post_init__(self):
+        keys = [fam._parameter_keys(half) for half in self.halves] if None in (self.slots, self.check) else []
         if self.slots is None:
-            keys = {k for half in self.halves for k in fam._parameter_keys(half, ("order",))}
-            object.__setattr__(self, "slots", tuple(sorted(keys - {"n", "m"} | {"nm"} if {"n", "m"} <= keys else keys)))
+            axes = set(chain.from_iterable(keys)) - {"order"}
+            object.__setattr__(self, "slots", tuple(sorted(axes - {"n", "m"} | {"nm"} if {"n", "m"} <= axes else axes)))
         if self.check is None:
-            object.__setattr__(self, "check", _halves(self.halves))
+            object.__setattr__(self, "check", _halves(self.halves, keys))
 
     def lambda_degree_bound(self, grid: GridConfig) -> int | None:
         """The --lambda-certify degree bound, None without a lambda axis: both sides are rational
@@ -236,10 +239,10 @@ def _render_half(half: Callable[..., Sequence[Pair]], values: tuple) -> tuple:
 _rendered_half = lru_cache(maxsize=None)(_render_half)
 
 
-def _halves(halves: tuple[Callable[..., Sequence[Pair]], ...]) -> Callable[[dict, GridConfig], _Checked]:
-    """The check of an identity declared by its halves, as the module docstring describes."""
+def _halves(halves: tuple[Callable[..., Sequence[Pair]], ...], keys: list) -> Callable[[dict, GridConfig], _Checked]:
+    """The check of an identity declared by its halves, each reading its keys, as the module docstring describes."""
     render = _rendered_half if len(halves) > 1 else _render_half
-    getters = [(half, itemgetter(*fam._parameter_keys(half))) for half in halves]
+    getters = [(half, itemgetter(*read)) for half, read in zip(halves, keys)]
 
     def check(pt: dict, grid: GridConfig) -> _Checked:
         values = {**pt, "order": grid.order}
@@ -795,6 +798,7 @@ def _run_block(identity_id: str, grid: GridConfig, perturb: bool, timing: bool,
     """One unit of work: an identity id mapped to its reports in canonical order, through
     render when given, their pass, fail and skip counts, and its lambda degree bound."""
     identity = get_identity(identity_id)
+    _rendered_half.cache_clear()  # no half is shared between identities, so no entry hits in a later block
     pt_grid, bound = identity_grid_for(identity, grid)
     reports = [_evaluate_point(identity, pt, params, pt_grid, perturb, timing)
                for pt, params in _points(identity.slots, pt_grid)]

@@ -7,8 +7,16 @@ Lipton & Sayward, "Hints on test data selection", IEEE Computer 11(4), 1978),
 runs the catalog on a reduced grid in this process, and names the identities
 that caught it.  CAUGHT_BY records the catch set of every mutation: a change
 that shrinks one makes two routes share the mutated piece.
+
+A catch set cannot see a point where the fault moves both sides alike: the
+point passes and proves nothing about the faulted piece.  It is the equivalent
+mutant of DeMillo, Lipton & Sayward, except that here the verdict stays while a
+side moved.  CANCELLED_BY pins, per fault and identity, the points whose
+rendered lhs the fault changed and which still pass, each entry with the class
+of its reason; a new shared route shows up there as a count that grows.
 """
 
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -176,6 +184,62 @@ CAUGHT_BY = {
 }
 
 
+# why a fault moves both sides of a point alike
+DEGENERATE = "degenerate point"  # a shift at m = 0 or a sum at n = 0 collapses, or the moves happen to match
+SUM_TWICE = "one sum evaluated twice"
+PREFACTOR = "shared prefactor"
+SHARED_ROUTE = "shared route"  # both sides read one faulted value by one code path
+
+# fault -> {identity: (points whose lhs moved and which still pass, reason class)};
+# a fault not named here moves no passing point
+CANCELLED_BY = {
+    "Stirling {4,2} + 1": {
+        # m = 4: the closed sum and the recurrence at n = 0 both run over the row {4, k}
+        "apostol-bernoulli-diag-recurrence": (16, SUM_TWICE),
+        "apostol-bernoulli-recurrence": (32, DEGENERATE),  # (n, m) = (4, 0) and (0, 4)
+        "apostol-euler-recurrence": (60, DEGENERATE),  # (n, m) = (4, 0) and (0, 4)
+        "aux-euler-reflection": (18, SUM_TWICE),  # lambda = 1, n = 4: both sides read the moved E_4^(a) once
+        "aux-wang": (2, DEGENERATE),  # n = 4, x = -1/2, at (alpha, lambda) = (1, 2) and (2, 1)
+        "fubini-explicit": (2, DEGENERATE),  # n or m = 0: Spivey's row is the Stirling row {4, d}
+        "poly-shift-prop": (216, DEGENERATE),  # (n, m) = (4, 0) and (0, 4)
+        "poly-shift-theorem": (24, DEGENERATE),  # lambda = 1, m = 0, n = 4
+        "spivey": (2, DEGENERATE),  # n or m = 0
+        "w-connections": (120, SUM_TWICE),  # every n = 4 point: both sides sum {4, k} (alpha)_k y^k
+        "w-explicit": (2, DEGENERATE),  # n or m = 0
+        "w-general-recurrence": (12, DEGENERATE),  # n or m = 0
+    },
+    "_bernoulli_row B_1 numerator + 1": {
+        "aux-srivastava-luo": (6, DEGENERATE),  # lambda = 1, n <= 3: the two moves of B_1 happen to match
+    },
+    "_geometric_num {3,2}+1": {
+        "apostol-bernoulli-recurrence": (16, DEGENERATE),  # m = 0, n = 3
+        "apostol-euler-recurrence": (30, DEGENERATE),  # m = 0, n = 3
+        "aux-euler-reflection": (1, DEGENERATE),  # x = alpha/2 = 1: the reflection fixes x
+        "aux-wang": (2, DEGENERATE),  # n = 3, x = -1/2, at (alpha, lambda) = (1, 1) and (4, 1/3)
+        "poly-shift-prop": (120, DEGENERATE),  # m = 0, n = 3
+    },
+    # at lambda = 1 every Bernoulli value is read off (t/(e^t - 1))^l: m = 0, or n + m + l = 3,
+    # where the moved B_3 of every order enters both sides once, at one weight
+    "binomial_power coefficient 3 + 1/7": {
+        "apostol-bernoulli-recurrence": (4, DEGENERATE),
+        "bernoulli-higher-recurrence": (2, DEGENERATE),
+        "gf-apostol-bernoulli-shift": (3, SHARED_ROUTE),  # lambda = 1, m = 0: the series against itself
+        "poly-shift-prop": (24, DEGENERATE),
+    },
+    "euler_prefactor_base x2": {
+        "aux-euler-reflection": (236, PREFACTOR),  # integer alpha, lambda != 1: base^alpha on both sides
+        "poly-shift-theorem": (316, PREFACTOR),  # m = 0: only the euler-reflection pair moves
+    },
+    "series.sum_over_lcm drops its last term": {  # all at lambda = 1, m = 0
+        "apostol-bernoulli-recurrence": (19, DEGENERATE),
+        "bernoulli-higher-recurrence": (3, DEGENERATE),
+        "gf-apostol-bernoulli-shift": (4, SHARED_ROUTE),
+        "poly-shift-prop": (114, DEGENERATE),
+        "poly-shift-theorem": (12, DEGENERATE),
+    },
+}
+
+
 def _clear_caches():
     for module in (fam, identities):
         for obj in vars(module).values():
@@ -197,8 +261,15 @@ def clean_state(monkeypatch):
     _clear_caches()
 
 
+@pytest.fixture(scope="module")
+def clean_lhs():
+    """Each point's rendered lhs on clean code, by (id, params), from one run on emptied caches."""
+    _clear_caches()
+    return {(r.id, tuple(r.params.items())): r.lhs for r in run_all(REDUCED)[1]}
+
+
 @pytest.mark.parametrize("name", sorted(CAUGHT_BY))
-def test_mutation_is_caught(clean_state, name):
+def test_mutation_is_caught(clean_state, clean_lhs, name):
     if name in MUTATIONS:
         owner, attr, factory = MUTATIONS[name]
         clean_state.setattr(owner, attr, factory(getattr(owner, attr)))
@@ -211,3 +282,6 @@ def test_mutation_is_caught(clean_state, name):
     caught = {r.id for r in reports if r.status == "fail"}
     assert caught, f"{name} survived: no identity failed"
     assert caught >= CAUGHT_BY[name], f"{name} caught by {sorted(caught)}, not by {sorted(CAUGHT_BY[name] - caught)}"
+    cancelled = Counter(r.id for r in reports
+                        if r.status == "pass" and r.lhs != clean_lhs[r.id, tuple(r.params.items())])
+    assert cancelled == {i: count for i, (count, _) in CANCELLED_BY.get(name, {}).items()}, name

@@ -7,12 +7,15 @@ from collections import Counter
 from fractions import Fraction as F
 from itertools import product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyfam import cli, identities
+from polyfam import families as fam
 from polyfam.identities import (
-    REGISTRY, SLOTS, GridConfig, IdentityReport, SkipDomain, _points, _run_block, identity_grid_for,
+    REGISTRY, SLOTS, GridConfig, IdentityReport, SkipDomain, _points, _run_block, grid_points, identity_grid_for,
+    run_all,
 )
 from polyfam.rationals import rational_str
 
@@ -91,3 +94,40 @@ def test_perturb_then_plain_then_perturb_in_one_process(capsys):
     assert set(first) == {"fail", "skipped-domain"}
     assert plain == {"pass": first["fail"], "skipped-domain": first["skipped-domain"]}
     assert second == first
+
+
+HALF_GRID = GridConfig(nmax=3, mmax=3, nm_sum=5, ls=(1, 2), int_alphas=(1, 2), frac_alphas=(F(1, 2),),
+                       lambdas=(F(2), F(-3), F(1)), xs=(F(1), F(-1, 2)), order=8)
+
+
+def fresh_check(identity, pt: dict, grid: GridConfig) -> list:
+    """The pairs of every half, computed afresh and joined in order."""
+    values = {**pt, "order": grid.order}
+    return [pair for half in identity.halves for pair in half(*map(values.get, fam._parameter_keys(half)))]
+
+
+def test_the_half_memo_holds_the_halves_of_the_block_being_run():
+    memo = identities._rendered_half
+    memo.cache_clear()
+    run_all(HALF_GRID, ["poly-shift-prop"])
+    alone = memo.cache_info().currsize
+    memo.cache_clear()
+    run_all(HALF_GRID, ["finite-sums", "poly-shift-prop"])
+    assert memo.cache_info().currsize == alone > 0
+    run_all(HALF_GRID, ["spivey"])
+    assert memo.cache_info().currsize == 0
+    # within one block too, --perturb edits the fresh pair lists, never the memo's pairs, verdicts or strings
+    theorem = REGISTRY["poly-shift-theorem"]
+    assert run_all(HALF_GRID, ["poly-shift-theorem"], perturb=True)[0].passed == 0
+    filled = memo.cache_info().currsize
+    for pt in grid_points(theorem.slots, HALF_GRID):
+        try:
+            fresh = fresh_check(theorem, pt, HALF_GRID)
+        except SkipDomain:
+            with pytest.raises(SkipDomain):
+                theorem.check(pt, HALF_GRID)
+            continue
+        checked = theorem.check(pt, HALF_GRID)
+        assert list(checked) == fresh, pt
+        assert checked.rendered == identities._render(fresh), pt
+    assert memo.cache_info().currsize == filled > 0  # every point read the memo the perturbed run filled
