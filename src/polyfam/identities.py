@@ -11,7 +11,8 @@ of two or more keys, its parameters (lam is "lambda"; "order" is the grid's),
 which give its grid axes, n and m together as nm; only the gf-*-shift ids (gm)
 and aux-srivastava-luo (int_alpha) name theirs.  The check joins, in order, the
 pairs the halves give, in a fresh list that carries the verdict and the
-rendered ``label=value`` segments in .rendered.  A half that raises SkipDomain
+rendered segments in .rendered: _render prints each pair as ``label=value``, or
+``value`` alone when its label is empty.  A half that raises SkipDomain
 stops the halves after it, so a domain guard goes in the first.  A single half
 reads every axis and is rendered afresh.  Two or more halves each omit an axis
 (an Euler side of order alpha beside a Bernoulli side of order l), so one memo
@@ -23,7 +24,7 @@ the lexicographic key of the rendered parameters), rendering each axis value
 once, and evaluates the points in turn, in one process or, at jobs > 1, one
 identity per worker process; output is the same at any job count.  It reports
 .rendered, except under --perturb, which edits the fresh pair list, never the
-memo, and renders it.
+memo, and renders it by the same rule.
 
 Sums over family values run in integers and build one Fraction at the end:
 with alpha = a/b and lam = p/q, an Euler-side sum is one integer over a power
@@ -743,13 +744,11 @@ def _perturb_value(v, rng: random.Random):
 
 
 def _render(pairs) -> tuple[bool, str, str]:
-    """The verdict (every pair equal) and the rendered lhs and rhs of a pair list; equal
-    values print equal strings, so a passing list's rhs is its lhs string."""
-    if len(pairs) == 1 and pairs[0][0] == "":
-        ok, lhs = pairs[0][1] == pairs[0][2], str(pairs[0][1])
-        return ok, lhs, lhs if ok else str(pairs[0][2])
-    ok, lhs = all(lv == rv for _, lv, rv in pairs), "; ".join(f"{lb}={lv}" for lb, lv, _ in pairs)
-    return ok, lhs, lhs if ok else "; ".join(f"{lb}={rv}" for lb, _, rv in pairs)
+    """The verdict (every pair equal) and the rendered lhs and rhs of a pair list, each pair
+    as label=value, or value alone when its label is empty, joined by "; "; equal values
+    print equal strings, so a passing list's rhs is its lhs string."""
+    ok, lhs = all(lv == rv for _, lv, rv in pairs), "; ".join([f"{lb}={lv}" if lb else str(lv) for lb, lv, _ in pairs])
+    return ok, lhs, lhs if ok else "; ".join([f"{lb}={rv}" if lb else str(rv) for lb, _, rv in pairs])
 
 
 def _evaluate_point(identity: Identity, pt: dict, params: dict[str, str], grid: GridConfig,

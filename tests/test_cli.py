@@ -1,6 +1,8 @@
 import argparse
+import csv
 import json
 import re
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -9,7 +11,9 @@ import pytest
 from polyfam import cli
 from polyfam import families as fam
 from polyfam.cli import _apply_config, _grid_from_args, build_parser, main
-from polyfam.identities import GridConfig
+from polyfam.identities import GridConfig, run_all
+
+from .test_runner import REDUCED, reduced_grid
 
 
 def run_cli(capsys, *argv):
@@ -144,6 +148,13 @@ def test_series_fractional_alpha_prefactor(capsys):
     assert payload["egf"][0] == "1"
 
 
+def test_series_csv_ends_with_its_prefactor(capsys):
+    code, out, _ = run_cli(capsys, "series", "--gf", "apostol-euler", "--alpha", "5/2", "--lambda", "2",
+                           "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[-1] == "# prefactor=4/9*(2/3)^(1/2)"  # (2/3)^(5/2)
+
+
 @pytest.mark.parametrize("alpha", ["0", "-1", "-2"])
 def test_series_apostol_euler_takes_integer_orders_below_one(capsys, alpha):
     code, out, _ = run_cli(capsys, "series", "--gf", "apostol-euler", "--alpha", alpha, "--lambda", "2",
@@ -267,6 +278,28 @@ def test_verify_rejects_grid_bounds_below_zero(capsys, flag):
     code, out, err = run_cli(capsys, "verify", "--all", flag, "-1")
     assert code == 2 and out == ""
     assert f"{flag} must be >= 0" in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("table", "--family", "bell"), "--n"),
+    (("series", "--gf", "exp-bell"), "--order"),
+])
+def test_table_and_series_reject_bounds_below_zero(capsys, argv, flag):
+    assert run_cli(capsys, *argv, flag, "-1") == (2, "", f"error: {flag} must be >= 0\n")
+
+
+@pytest.mark.parametrize("flags", [(), ("--perturb",)])
+def test_verify_csv_rows_roll_up_to_the_reports_of_run_all(capsys, flags):
+    # the per-identity rollup: polyfam verify --all --format csv | cut -d, -f1,3 | sort | uniq -c
+    code, out, _ = run_cli(capsys, "verify", "--all", *REDUCED, *flags, "--format", "csv")
+    *lines, trailer = out.splitlines()
+    rows = list(csv.reader(lines))[1:]
+    summary, reports, _ = run_all(reduced_grid(), perturb=bool(flags))
+    assert code == (1 if flags else 0)
+    # per id and status, so also each id's points, fails and skips
+    assert Counter((row[0], row[2]) for row in rows) == Counter((r.id, r.status) for r in reports)
+    assert trailer == f"# pass={summary.passed} fail={summary.failed} skipped={summary.skipped}"
+    assert summary.skipped > 0 and (summary.failed > 0) == bool(flags)
 
 
 @pytest.mark.parametrize("identity_id", ["gf-apostol-bernoulli-shift", "finite-sums", "spivey"])

@@ -38,11 +38,8 @@ def reference_block(identity_id: str, grid: GridConfig) -> list[IdentityReport]:
             reports.append(IdentityReport(identity_id, params, "skipped-domain", "", "", 0, skip.reason))
             continue
         status = "pass" if all(lhs == rhs for _, lhs, rhs in pairs) else "fail"
-        if len(pairs) == 1 and pairs[0][0] == "":
-            lhs_s, rhs_s = str(pairs[0][1]), str(pairs[0][2])
-        else:
-            lhs_s = "; ".join(f"{lb}={lv}" for lb, lv, _ in pairs)
-            rhs_s = "; ".join(f"{lb}={rv}" for lb, _, rv in pairs)
+        lhs_s = "; ".join(f"{lb}={lv}" if lb else str(lv) for lb, lv, _ in pairs)
+        rhs_s = "; ".join(f"{lb}={rv}" if lb else str(rv) for lb, _, rv in pairs)
         reports.append(IdentityReport(identity_id, params, status, lhs_s, rhs_s, 0))
     return sorted(reports, key=IdentityReport.sort_key)
 
@@ -79,6 +76,10 @@ REDUCED = ["--nmax", "2", "--mmax", "2", "--gf-mmax", "1", "--order", "6",
            "--lambda", "7,-2/3,1", "--alpha", "3,2/3", "--l", "1,3", "--x", "2"]
 
 
+def reduced_grid() -> GridConfig:
+    return cli._grid_from_args(cli.build_parser().parse_args(["verify", "--all", *REDUCED]))
+
+
 def verify_statuses(capsys, *flags) -> Counter:
     code = cli.main(["verify", "--all", *REDUCED, "--format", "json", *flags])
     reports = json.loads(capsys.readouterr().out)["reports"]
@@ -87,13 +88,38 @@ def verify_statuses(capsys, *flags) -> Counter:
 
 
 def test_perturb_then_plain_then_perturb_in_one_process(capsys):
-    identities._rendered_half.cache_clear()  # so the perturbed run fills the memo
+    # every block starts from an emptied half memo, so a perturbed run leaves nothing behind that the
+    # next run reads: the plain run passes every point the perturbed one failed, and perturbing again
+    # gives the same statuses
     first = verify_statuses(capsys, "--perturb")
     plain = verify_statuses(capsys)
     second = verify_statuses(capsys, "--perturb")
     assert set(first) == {"fail", "skipped-domain"}
     assert plain == {"pass": first["fail"], "skipped-domain": first["skipped-domain"]}
     assert second == first
+
+
+@pytest.mark.parametrize("pairs, rendered", [
+    ([("a", F(1), F(1)), ("", F(2), F(2))], (True, "a=1; 2", "a=1; 2")),
+    ([("a", F(1), F(3)), ("", F(2), F(2))], (False, "a=1; 2", "a=3; 2")),
+    ([("", F(1), F(2))], (False, "1", "2")),
+])
+def test_render_prints_an_unlabelled_pair_as_its_value_wherever_it_stands(pairs, rendered):
+    assert identities._render(pairs) == rendered
+
+
+def test_every_check_renders_as_render_of_its_pairs():
+    grid = reduced_grid()
+    checked = 0
+    for identity_id, identity in REGISTRY.items():
+        for pt in grid_points(identity.slots, grid):
+            try:
+                pairs = identity.check(pt, grid)
+            except SkipDomain:
+                continue
+            assert pairs.rendered == identities._render(list(pairs)), (identity_id, pt)
+            checked += 1
+    assert checked > 0
 
 
 HALF_GRID = GridConfig(nmax=3, mmax=3, nm_sum=5, ls=(1, 2), int_alphas=(1, 2), frac_alphas=(F(1, 2),),
