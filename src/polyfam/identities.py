@@ -17,14 +17,15 @@ stops the halves after it, so a domain guard goes in the first.  A single half
 reads every axis and is rendered afresh.  Two or more halves each omit an axis
 (an Euler side of order alpha beside a Bernoulli side of order l), so one memo
 (_rendered_half) holds each half's pairs, verdict and segments, computed once
-per distinct value of its keys.  It holds the halves of the block being run: no
-identity shares a half, so the runner empties it as each block starts.  The
-runner enumerates each identity's grid in canonical order (identity id, then
-the lexicographic key of the rendered parameters), rendering each axis value
-once, and evaluates the points in turn, in one process or, at jobs > 1, one
-identity per worker process; output is the same at any job count.  It reports
-.rendered, except under --perturb, which edits the fresh pair list, never the
-memo, and renders it by the same rule.
+per distinct value of its keys.  It holds the halves of the block being run:
+no memo entry is shared between identities (two that run one function,
+_euler_shift, bind it into distinct partials), so the runner empties it as each
+block starts.  The runner enumerates each identity's grid in canonical order
+(identity id, then the lexicographic key of the rendered parameters), rendering
+each axis value once, and evaluates the points in turn, in one process or, at
+jobs > 1, one identity per worker process; output is the same at any job count.
+It reports .rendered, except under --perturb, which edits the fresh pair list,
+never the memo, and renders it by the same rule.
 
 Sums over family values run in integers and build one Fraction at the end:
 with alpha = a/b and lam = p/q, an Euler-side sum is one integer over a power
@@ -110,21 +111,14 @@ class GridConfig:
     def alphas(self) -> tuple[Fraction, ...]:
         return tuple(F(a) for a in self.int_alphas) + tuple(self.frac_alphas)
 
-    def nm_pairs(self) -> list[tuple[int, int]]:
-        return [
-            (n, m)
-            for n in range(self.nmax + 1)
-            for m in range(self.mmax + 1)
-            if n + m <= self.nm_sum
-        ]
-
 
 # Grid axes: each slot maps a GridConfig to the values one axis of an
 # identity's grid takes, typed here once (Fractions for alpha, lambda and x).
-# "gm" is the shift m bounded by gf_mmax, and "int_alpha" the integer orders
-# only; both report under the usual names.
+# "nm" is the n and m up to nmax and mmax with n + m <= nm_sum, their joint
+# bound; "gm" is the shift m bounded by gf_mmax, and "int_alpha" the integer
+# orders only; all three report under the usual names.
 SLOTS: dict[str, Callable[[GridConfig], list[dict]]] = {
-    "nm": lambda g: [{"n": n, "m": m} for n, m in g.nm_pairs()],
+    "nm": lambda g: [{"n": n, "m": m} for n in range(g.nmax + 1) for m in range(g.mmax + 1) if n + m <= g.nm_sum],
     "n": lambda g: [{"n": n} for n in range(g.nmax + 1)],
     "m": lambda g: [{"m": m} for m in range(g.mmax + 1)],
     "gm": lambda g: [{"m": m} for m in range(g.gf_mmax + 1)],
@@ -467,10 +461,10 @@ def _euler_reflection(n: int, a: Fraction, x: Fraction, lam: Fraction) -> tuple[
     return lhs, rhs
 
 
-def _chk_apostol_euler_recurrence(n, m, alpha, lam) -> list[Pair]:
+def _euler_shift(label: str, n: int, m: int, alpha: Fraction, lam: Fraction) -> tuple[Pair, ...]:
+    """M_{n+m} against _euler_shift_sum: apostol-euler-recurrence, and poly-shift-prop's Euler half."""
     _need_euler_domain(lam)
-    lhs = fam.apostol_euler_mantissa(n + m, alpha, lam)
-    return [("", lhs, _euler_shift_sum(n, m, alpha, lam))]
+    return ((label, fam.apostol_euler_mantissa(n + m, alpha, lam), _euler_shift_sum(n, m, alpha, lam)),)
 
 
 def _chk_apostol_euler_explicit(m, alpha, lam, order) -> list[Pair]:
@@ -555,10 +549,11 @@ def _chk_apostol_bernoulli_classical(n, lam) -> list[Pair]:
 
 
 # The split identities below have two or more halves, which share their sums
-# with the checkers above: _euler_shift_sum (also apostol-euler-recurrence's
-# right side) and _euler_stirling1_sum on the Euler side, _bernoulli_shift_sum
-# and _bernoulli_stirling1_sum on the Bernoulli side, and _euler_reflection with
-# aux-euler-reflection.  The sums read the cached integer kernels of families.
+# with the checkers above: _euler_shift (all of apostol-euler-recurrence, and
+# poly-shift-prop's Euler half) and _euler_stirling1_sum on the Euler side,
+# _bernoulli_shift_sum and _bernoulli_stirling1_sum on the Bernoulli side, and
+# _euler_reflection with aux-euler-reflection.  The sums read the cached integer
+# kernels of families.
 
 def _connection_euler(n: int, alpha: Fraction, lam: Fraction) -> tuple[Pair, ...]:
     if lam == -1:
@@ -580,13 +575,8 @@ def _connection_bernoulli(n: int, l: int, lam: Fraction) -> tuple[Pair, ...]:
 
 def _connection_classical(n: int, alpha: Fraction, l: int) -> tuple[Pair, ...]:
     if alpha == l == 1:
-        return (("euler-value", fam.geometric_poly(n)(F(-1, 2)), fam.apostol_euler_mantissa(n, 1, 1)),)
+        return (("euler-value", fam.euler_classical(n), fam.apostol_euler_mantissa(n, 1, 1)),)
     return ()
-
-
-def _prop_euler(n: int, m: int, alpha: Fraction, lam: Fraction) -> tuple[Pair, ...]:
-    _need_euler_domain(lam)
-    return (("euler-shift", fam.apostol_euler_mantissa(n + m, alpha, lam), _euler_shift_sum(n, m, alpha, lam)),)
 
 
 def _prop_bernoulli(n: int, m: int, l: int, lam: Fraction) -> tuple[Pair, ...]:
@@ -693,7 +683,7 @@ for _identity in [
     Identity("w-explicit", "closed triple sum for geometric polynomials, symbolic in x", (_chk_w_explicit,)),
     Identity("fubini-explicit", "closed triple sum for ordered Bell numbers", (_chk_fubini_explicit,)),
     Identity("apostol-euler-recurrence", "order-raising recurrence for Euler-type numbers",
-             (_chk_apostol_euler_recurrence,)),
+             (partial(_euler_shift, ""),)),
     Identity("apostol-euler-explicit", "closed Stirling sum for Euler-type numbers against the series route",
              (_chk_apostol_euler_explicit,)),
     Identity("apostol-bernoulli-recurrence", "order-raising recurrence for Bernoulli-type numbers",
@@ -711,7 +701,7 @@ for _identity in [
              "geometric polynomial values at distinguished points give the Euler/Bernoulli-type families",
              (_connection_euler, _connection_bernoulli, _connection_classical)),
     Identity("poly-shift-prop", "shift of the second index into polynomial arguments, number form",
-             (_prop_euler, _prop_bernoulli)),
+             (partial(_euler_shift, "euler-shift"), _prop_bernoulli)),
     Identity("poly-shift-theorem", "inverse-transform shift into polynomial arguments, with reflections",
              (_theorem_euler, _theorem_bernoulli)),
     Identity("finite-sums", "closed forms for alternating first-kind Stirling sums over both families",
@@ -797,7 +787,7 @@ def _run_block(identity_id: str, grid: GridConfig, perturb: bool, timing: bool,
     """One unit of work: an identity id mapped to its reports in canonical order, through
     render when given, their pass, fail and skip counts, and its lambda degree bound."""
     identity = get_identity(identity_id)
-    _rendered_half.cache_clear()  # no half is shared between identities, so no entry hits in a later block
+    _rendered_half.cache_clear()  # no memo entry is shared between identities, so none hits in a later block
     pt_grid, bound = identity_grid_for(identity, grid)
     reports = [_evaluate_point(identity, pt, params, pt_grid, perturb, timing)
                for pt, params in _points(identity.slots, pt_grid)]

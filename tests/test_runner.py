@@ -5,6 +5,7 @@ memo's cached pairs, verdicts or strings."""
 import json
 from collections import Counter
 from fractions import Fraction as F
+from functools import partial
 from itertools import product
 
 import pytest
@@ -134,10 +135,8 @@ def fresh_check(identity, pt: dict, grid: GridConfig) -> list:
 
 def test_the_half_memo_holds_the_halves_of_the_block_being_run():
     memo = identities._rendered_half
-    memo.cache_clear()
     run_all(HALF_GRID, ["poly-shift-prop"])
     alone = memo.cache_info().currsize
-    memo.cache_clear()
     run_all(HALF_GRID, ["finite-sums", "poly-shift-prop"])
     assert memo.cache_info().currsize == alone > 0
     run_all(HALF_GRID, ["spivey"])
@@ -157,3 +156,21 @@ def test_the_half_memo_holds_the_halves_of_the_block_being_run():
         assert list(checked) == fresh, pt
         assert checked.rendered == identities._render(fresh), pt
     assert memo.cache_info().currsize == filled > 0  # every point read the memo the perturbed run filled
+
+
+def test_apostol_euler_recurrence_runs_the_euler_half_of_poly_shift_prop():
+    # one statement, declared once: the registry binds only its label
+    recurrence, prop = REGISTRY["apostol-euler-recurrence"], REGISTRY["poly-shift-prop"]
+    (alone,), (euler, _) = recurrence.halves, prop.halves
+    assert isinstance(alone, partial) and isinstance(euler, partial) and alone.func is euler.func
+    compared = 0
+    for pt in grid_points(prop.slots, HALF_GRID):
+        try:
+            (label, *sides), = recurrence.check({k: v for k, v in pt.items() if k != "l"}, HALF_GRID)
+            prop_label, *prop_sides = prop.check(pt, HALF_GRID)[0]
+        except SkipDomain:
+            continue
+        assert (label, prop_label) == ("", "euler-shift"), pt
+        assert sides == prop_sides, pt
+        compared += 1
+    assert compared > 0
